@@ -9,7 +9,7 @@ CARGO ?= cargo
 BENCH_TARGETS := $(shell sed -n 's/^name = "\([a-z0-9_]*\)"$$/\1/p' \
                  crates/bench/Cargo.toml | grep -v '^dxml')
 
-.PHONY: all build test clippy doc fmt-check bench bench-smoke bench-baselines bench-compare fuzz-smoke examples lint-schemas lint-repo verify
+.PHONY: all build test clippy doc fmt-check bench bench-smoke bench-baselines bench-compare fuzz-smoke perfbench-smoke examples lint-schemas lint-repo verify
 
 all: verify
 
@@ -108,6 +108,26 @@ fuzz-smoke:
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-core --test governance
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-bench --test cost_calibration
 	@echo "fuzz-smoke: governance fault suite passed within $(FUZZ_SMOKE_TIMEOUT)s per binary"
+
+# Build the end-to-end benchmark (a package of its own, so the targets
+# above never compile it) and run every workload briefly with tracing on.
+# Besides the known-answer oracle, the traced run self-tests where the
+# engine builds its caches (`verify_warm` must build none in its timed
+# loop); the last output line is the JSON verdict and must report
+# "correct": true.
+PERFBENCH_WORKLOADS := design_cold verify_warm synthesize ingest
+
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		out=$$($(CARGO) run -q --release --manifest-path perfbench/Cargo.toml -- \
+			--workload $$w --seed 3 --seconds 2 --trace 1) || { \
+			echo "perfbench-smoke: $$w exited with an error" >&2; exit 1; }; \
+		last=$$(printf '%s\n' "$$out" | tail -n 1); \
+		case "$$last" in \
+			*'"correct": true'*) echo "perfbench-smoke: $$w correct" ;; \
+			*) echo "perfbench-smoke: $$w did not report \"correct\": true: $$last" >&2; exit 1 ;; \
+		esac; \
+	done
 
 examples:
 	$(CARGO) run -q --release --example quickstart

@@ -8,7 +8,7 @@
 //! one that has to determinise from scratch.
 
 use dxml_bench::{design_workload, section, smoke, Session};
-use dxml_core::DesignProblem;
+use dxml_core::{BoxDesignProblem, DesignProblem};
 
 fn main() {
     let mut session = Session::new("table4_perfect");
@@ -40,11 +40,13 @@ fn main() {
         });
         assert!(problem.typecheck(&doc).unwrap().is_valid());
         assert!(problem.target_cache_ready(), "first typecheck must populate the cache");
-        let before = problem.target_cache().duta() as *const _;
+        // The determinised target lives in the embedding; a `From` clone
+        // shares it.
+        let before = BoxDesignProblem::from(&problem).target_cache().duta() as *const _;
         let warm = session.bench(&format!("typecheck_warm/n={n}"), 5, || {
             assert!(problem.typecheck(&doc).unwrap().is_valid());
         });
-        let after = problem.target_cache().duta() as *const _;
+        let after = BoxDesignProblem::from(&problem).target_cache().duta() as *const _;
         assert!(
             std::ptr::eq(before, after),
             "repeated typecheck must not re-determinise the target (n={n})"

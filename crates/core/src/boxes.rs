@@ -1,25 +1,29 @@
-//! Box-design subsystem: the design problems for **R-EDTD targets**
-//! (Section 7).
+//! The design engine: typing verification and perfect typing for **R-EDTD
+//! targets** (Section 7).
 //!
-//! [`crate::DesignProblem`] decides typing verification against DTD targets,
-//! where validation is per-node-local and the string-level fast path only
-//! needs plain words. Section 7 of the paper lifts every design problem to
-//! full R-EDTD targets (unranked regular tree languages) by reducing the
-//! tree problems to string problems whose constant parts are *boxes*
-//! `B(fn)` ([`BoxLang`], Definition 21): with the target in the normal form
-//! of Lemma 4.10 — operationally, its bottom-up **determinised** specialised
-//! automaton — every kernel subtree evaluates to a unique subset of
-//! specialised names, so a sequence of fixed kernel children contributes a
-//! box `Σ1 Σ2 … Σn` of specialised names, and every docking point
-//! contributes a regular gap language over the same specialised alphabet.
+//! Section 7 of the paper lifts every design problem to full R-EDTD targets
+//! (unranked regular tree languages) by reducing the tree problems to string
+//! problems whose constant parts are *boxes* `B(fn)` ([`BoxLang`],
+//! Definition 21): with the target in the normal form of Lemma 4.10 —
+//! operationally, its bottom-up **determinised** specialised automaton —
+//! every kernel subtree evaluates to a unique subset of specialised names, so
+//! a sequence of fixed kernel children contributes a box `Σ1 Σ2 … Σn` of
+//! specialised names, and every docking point contributes a regular gap
+//! language over the same specialised alphabet.
+//!
+//! A DTD is the R-EDTD in which every name is its own specialisation, so
+//! this module is the only tree route of the crate: [`crate::DesignProblem`]
+//! is a DTD front end that holds its trivial-EDTD embedding (the
+//! [`From<&DesignProblem>`](BoxDesignProblem::from) image) and typechecks
+//! through it.
 //!
 //! [`BoxDesignProblem`] packages an [`REdtd`] target with one [`REdtd`]
-//! schema per function (DTD schemas embed through [`RDtd::to_edtd`]) and
-//! offers the same three decision procedures as the DTD layer:
+//! schema per function and offers three decision procedures:
 //!
 //! * [`BoxDesignProblem::typecheck`] — the ground-truth tree-automaton
-//!   route: extension automaton vs. determinised target, with a full
-//!   counterexample document on failure;
+//!   route: the extension automaton ([`BoxDesignProblem::extension_nuta`])
+//!   vs. the determinised target, with a full counterexample document on
+//!   failure;
 //! * [`BoxDesignProblem::verify_local`] — the Section-7 string route: a
 //!   single bottom-up pass over the kernel computing, per node, the set of
 //!   achievable subset states from the words-with-box-gaps language of its
@@ -35,25 +39,39 @@
 //!   candidate is confirmed by the [`BoxDesignProblem::typecheck`] oracle in
 //!   the refute-and-refine style of [`crate::perfect`].
 //!
-//! All target- and schema-derived artefacts (the determinised specialised
-//! target, the per-function gap languages over subset states) are built
-//! lazily once per problem in a [`BoxTargetCache`] behind an `OnceLock`,
-//! mirroring [`crate::design::TargetCache`].
+//! The artefacts are cached by what they depend on. The determinised target
+//! (with its accepting set and Moore-machine DFA memo) depends only on the
+//! target schema: it is built once and shared by `Arc` across clones, so a
+//! problem, its copies with more functions and the DTD front end over the
+//! same schema all reuse one automaton. The per-function gap languages are
+//! built on the first [`BoxDesignProblem::verify_local`] or
+//! [`BoxDesignProblem::perfect_schema`] and dropped by
+//! [`BoxDesignProblem::add_function`]; `typecheck` never builds them. The
+//! extension automata are memoised per document in a FIFO that clones share
+//! until one of them is mutated.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use dxml_automata::{AutomataError, BoxLang, Budget, Dfa, Nfa, RFormalism, RSpec, StateSet, Symbol};
-use dxml_schema::{RDtd, REdtd};
+use dxml_automata::{
+    AutomataError, BoxLang, Budget, Dfa, Nfa, RFormalism, RSpec, StateSet, Symbol,
+};
+use dxml_schema::{REdtd, SchemaError};
 use dxml_telemetry as telemetry;
 use dxml_tree::uta::Duta;
-use dxml_tree::{uta, NodeId, Nuta};
+use dxml_tree::{uta, NodeId, Nuta, XTree};
 
 use crate::design::{CacheStats, Origin, ResidualDfaCache, TypingVerdict};
 use crate::doc::DistributedDoc;
 use crate::error::DesignError;
+use crate::perfect::fresh_start;
+
+/// How many `(document, extension automaton)` pairs a problem memoises —
+/// enough for the few documents a problem is typically checked against
+/// back-to-back, small enough that stale documents do not accumulate.
+pub(crate) const EXT_CACHE_CAP: usize = 4;
 
 /// The symbol standing for the determinised target's subset state `i` in
 /// the string languages of the reduction (`#` cannot occur in parsed
@@ -77,7 +95,7 @@ fn state_set_nfa(states: &StateSet) -> Nfa {
 /// subset-state symbols: its transitions, no final states. The machine is
 /// deterministic by construction, so this is already a [`Dfa`] — the
 /// residual constructions consume it directly, with the per-call admissible
-/// outputs marked final on a clone (see [`BoxTargetCache::machine_dfa`]).
+/// outputs marked final on a clone (see [`TargetAutomaton::machine_dfa`]).
 fn machine_skeleton(duta: &Duta, label: &Symbol) -> Dfa {
     let machine = match duta.machine(label) {
         Some(m) => m,
@@ -94,6 +112,72 @@ fn machine_skeleton(duta: &Duta, label: &Symbol) -> Dfa {
 // Cached artefacts
 // ----------------------------------------------------------------------
 
+/// The determinised target and what derives from it alone. It depends only
+/// on the target schema, so every clone of a problem shares one (behind an
+/// `Arc`) until [`BoxDesignProblem::set_doc_schema`] replaces the target.
+#[derive(Debug)]
+pub(crate) struct TargetAutomaton {
+    duta: Duta,
+    accepting: StateSet,
+    empty_subset: Option<usize>,
+    /// Determinised per-label Moore-machine skeletons, keyed by label —
+    /// the residual inputs of the spine walk, built at most once per label.
+    machine_dfas: ResidualDfaCache,
+}
+
+impl TargetAutomaton {
+    /// Governed build: the determinisation charges `budget`, and a trip
+    /// returns before anything is cached.
+    fn build(target: &REdtd, budget: &Budget) -> Result<TargetAutomaton, AutomataError> {
+        let _span = telemetry::span(telemetry::SpanKind::BoxTargetCacheBuild);
+        telemetry::count(telemetry::Metric::BoxTargetCacheBuilds, 1);
+        let duta = target.to_nuta().determinize_with_budget(&target.labels(), budget)?;
+        let accepting = StateSet::from_iter(duta.num_states(), duta.accepting_states());
+        let empty_subset = duta.empty_subset();
+        Ok(TargetAutomaton {
+            duta,
+            accepting,
+            empty_subset,
+            machine_dfas: ResidualDfaCache::default(),
+        })
+    }
+
+    /// The determinised skeleton of `label`'s Moore machine (transitions
+    /// over subset-state symbols, no finals), memoised per target. Callers
+    /// clone it and mark their admissible outputs final — the clone is
+    /// cheap next to the subset construction it replaces.
+    fn machine_dfa(&self, label: &Symbol) -> Arc<Dfa> {
+        self.machine_dfas.get_or_build(label, || machine_skeleton(&self.duta, label))
+    }
+
+    /// The language of child words whose Moore output under `label` lies in
+    /// `outputs`, as a DFA over subset-state symbols: the memoised skeleton
+    /// with the admissible configurations marked final.
+    fn admissible_children_dfa(&self, label: &Symbol, outputs: &StateSet) -> Dfa {
+        let mut dfa = (*self.machine_dfa(label)).clone();
+        if let Some(machine) = self.duta.machine(label) {
+            for config in 0..machine.num_configs() {
+                if outputs.contains(machine.output(config)) {
+                    dfa.set_final(config);
+                }
+            }
+        }
+        dfa
+    }
+
+    /// Renders a witness word over subset-state symbols as a box of
+    /// specialised-name sets.
+    fn box_of(&self, witness: &[Symbol]) -> BoxLang {
+        let mut b = BoxLang::epsilon();
+        for sym in witness {
+            match letter_of(sym) {
+                Some(i) => b.push_slot(self.duta.subset(i).iter().cloned()),
+                None => b.push_slot(Vec::<Symbol>::new()),
+            }
+        }
+        b
+    }
+}
 /// Per-function artefacts of the box reduction: which trees the function can
 /// realize, expressed in the determinised target's subset states.
 #[derive(Clone, Debug)]
@@ -255,95 +339,81 @@ fn build_fun_artifacts(
     })
 }
 
-/// Problem artefacts of a [`BoxDesignProblem`] that are expensive to build
-/// and independent of the document being checked: the determinised
-/// specialised target and the per-function gap languages. Computed lazily
-/// on the first decision and shared by every subsequent
-/// [`BoxDesignProblem::typecheck`], [`BoxDesignProblem::verify_local`] and
-/// [`BoxDesignProblem::perfect_schema`] call; mutating the problem
-/// invalidates it.
-#[derive(Clone, Debug)]
-pub struct BoxTargetCache {
-    duta: Duta,
-    accepting: StateSet,
-    empty_subset: Option<usize>,
-    funs: BTreeMap<Symbol, FunArtifacts>,
-    /// Determinised per-label Moore-machine skeletons, keyed by label —
-    /// the residual inputs of the spine walk, built at most once per label.
-    machine_dfas: ResidualDfaCache,
+/// Every artefact the decisions of a [`BoxDesignProblem`] use: the
+/// determinised specialised target (shared by the problem's clones) and the
+/// per-function gap languages (the problem's own). Returned by
+/// [`BoxDesignProblem::target_cache`].
+#[derive(Clone, Copy, Debug)]
+pub struct BoxTargetCache<'a> {
+    target: &'a TargetAutomaton,
+    funs: &'a BTreeMap<Symbol, FunArtifacts>,
 }
 
-impl BoxTargetCache {
-    fn build(target: &REdtd, fun_schemas: &BTreeMap<Symbol, REdtd>) -> BoxTargetCache {
-        BoxTargetCache::build_with(target, fun_schemas, &Budget::unlimited())
-            .expect("the unlimited budget never trips")
-    }
-
-    /// Governed cache build: the target determinisation and every
-    /// per-function `D`-fixpoint charge `budget`. A trip aborts the build
-    /// and caches nothing.
-    fn build_with(
-        target: &REdtd,
-        fun_schemas: &BTreeMap<Symbol, REdtd>,
-        budget: &Budget,
-    ) -> Result<BoxTargetCache, AutomataError> {
-        let _span = telemetry::span(telemetry::SpanKind::BoxTargetCacheBuild);
-        telemetry::count(telemetry::Metric::BoxTargetCacheBuilds, 1);
-        let duta = target.to_nuta().determinize_with_budget(&target.labels(), budget)?;
-        let accepting = StateSet::from_iter(duta.num_states(), duta.accepting_states());
-        let empty_subset = duta.empty_subset();
-        let funs = build_fun_artifacts(fun_schemas, &duta, budget)?;
-        Ok(BoxTargetCache {
-            duta,
-            accepting,
-            empty_subset,
-            funs,
-            machine_dfas: ResidualDfaCache::default(),
-        })
-    }
-
-    /// The determinised skeleton of `label`'s Moore machine (transitions
-    /// over subset-state symbols, no finals), memoised per problem. Callers
-    /// clone it and mark their admissible outputs final — the clone is
-    /// cheap next to the subset construction it replaces.
-    fn machine_dfa(&self, label: &Symbol) -> Arc<Dfa> {
-        self.machine_dfas.get_or_build(label, || machine_skeleton(&self.duta, label))
-    }
-
-    /// The language of child words whose Moore output under `label` lies in
-    /// `outputs`, as a DFA over subset-state symbols: the memoised skeleton
-    /// with the admissible configurations marked final.
-    fn admissible_children_dfa(&self, label: &Symbol, outputs: &StateSet) -> Dfa {
-        let mut dfa = (*self.machine_dfa(label)).clone();
-        if let Some(machine) = self.duta.machine(label) {
-            for config in 0..machine.num_configs() {
-                if outputs.contains(machine.output(config)) {
-                    dfa.set_final(config);
-                }
-            }
-        }
-        dfa
-    }
-
-    /// Residual-memo misses and hits so far (backs
-    /// [`BoxDesignProblem::cache_stats`]).
-    pub(crate) fn residual_stats(&self) -> (u64, u64) {
-        self.machine_dfas.stats()
-    }
-
+impl<'a> BoxTargetCache<'a> {
     /// The target's specialised tree automaton, determinised (bottom-up)
     /// over the target's label universe. Its subset states are the slots of
     /// the kernel boxes.
-    pub fn duta(&self) -> &Duta {
-        &self.duta
+    pub fn duta(&self) -> &'a Duta {
+        &self.target.duta
     }
 
     /// The gap language of a declared function: the exact image of its
     /// forest language under tree → subset-state evaluation, over
     /// `#s<i>` state symbols. Exposed so tests and benches can pin that
     /// repeated decisions reuse it.
-    pub fn forest_states(&self, function: &Symbol) -> Option<&Nfa> {
+    pub fn forest_states(&self, function: &Symbol) -> Option<&'a Nfa> {
         self.funs.get(function).map(|fa| &fa.forest_states)
+    }
+}
+
+/// The child words a run of kernel children contributes to its parent: each
+/// docking point its gap language, every other child the one-letter slot of
+/// its achievable subset states.
+fn children_word(
+    doc: &DistributedDoc,
+    funs: &BTreeMap<Symbol, FunArtifacts>,
+    achievable: &[StateSet],
+    children: &[NodeId],
+) -> Nfa {
+    children.iter().fold(Nfa::epsilon(), |acc, &c| {
+        let label = doc.kernel().label(c);
+        let piece = match funs.get(label) {
+            Some(fa) if doc.is_function(label) => fa.forest_states.clone(),
+            _ => state_set_nfa(&achievable[c]),
+        };
+        acc.concat(&piece)
+    })
+}
+
+/// FIFO memo of extension automata keyed by the document, with the hit and
+/// miss counts behind [`BoxDesignProblem::cache_stats`] (mirrored into the
+/// global `design.ext_memo_*` telemetry counters).
+#[derive(Default)]
+struct ExtensionMemo {
+    entries: Mutex<Vec<(DistributedDoc, Arc<Nuta>)>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl ExtensionMemo {
+    fn get_or_build(&self, doc: &DistributedDoc, make: impl FnOnce() -> Nuta) -> Arc<Nuta> {
+        if let Ok(entries) = self.entries.lock() {
+            if let Some((_, ext)) = entries.iter().find(|(d, _)| d == doc) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                telemetry::count(telemetry::Metric::ExtMemoHits, 1);
+                return Arc::clone(ext);
+            }
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        telemetry::count(telemetry::Metric::ExtMemoMisses, 1);
+        let ext = Arc::new(make());
+        if let Ok(mut entries) = self.entries.lock() {
+            if entries.len() >= EXT_CACHE_CAP {
+                entries.remove(0);
+            }
+            entries.push((doc.clone(), Arc::clone(&ext)));
+        }
+        ext
     }
 }
 
@@ -383,32 +453,23 @@ pub enum BoxViolation {
 
 impl fmt::Display for BoxViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let origin = |o: &Origin| match o {
-            Origin::Kernel { path } => {
-                let p: Vec<&str> = path.iter().map(Symbol::as_str).collect();
-                format!("kernel node /{}", p.join("/"))
-            }
-            Origin::Function { function } => format!("documents returned by `{function}`"),
-        };
         match self {
-            BoxViolation::UnknownElement { element, origin: o } => {
-                write!(f, "element `{element}` ({}) is not declared in the target schema", origin(o))
+            BoxViolation::UnknownElement { element, origin } => {
+                write!(f, "element `{element}` ({origin}) is not declared in the target schema")
             }
-            BoxViolation::Content { element, counterexample, admitted, origin: o } => {
+            BoxViolation::Content { element, counterexample, admitted, origin } => {
                 if admitted.is_empty() {
                     write!(
                         f,
-                        "children ⟨{counterexample}⟩ of `{element}` ({}) are realizable but admit \
-                         no typing under the target",
-                        origin(o)
+                        "children ⟨{counterexample}⟩ of `{element}` ({origin}) are realizable but \
+                         admit no typing under the target"
                     )
                 } else {
                     let names: Vec<&str> = admitted.iter().map(Symbol::as_str).collect();
                     write!(
                         f,
-                        "children ⟨{counterexample}⟩ of `{element}` ({}) type the node as \
+                        "children ⟨{counterexample}⟩ of `{element}` ({origin}) type the node as \
                          [{}], which does not include the start name",
-                        origin(o),
                         names.join(", ")
                     )
                 }
@@ -439,15 +500,21 @@ impl BoxVerdict {
 // ----------------------------------------------------------------------
 
 /// A typing-verification instance with an **R-EDTD target**: the target
-/// schema `τ` plus one R-EDTD schema per function symbol. The EDTD analogue
-/// of [`crate::DesignProblem`] — DTD targets embed through
-/// [`RDtd::to_edtd`] / [`From<&DesignProblem>`](BoxDesignProblem::from) and
-/// produce identical verdicts (asserted by the test suite).
+/// schema `τ` plus one R-EDTD schema per function symbol. DTD problems
+/// embed through [`From<&DesignProblem>`](BoxDesignProblem::from) with
+/// trivial specialisations and produce the same verdicts.
+///
+/// Cloning shares the determinised target, which
+/// [`BoxDesignProblem::add_function`] keeps and
+/// [`BoxDesignProblem::set_doc_schema`] drops, and the extension memo,
+/// which either mutation replaces.
 #[derive(Clone)]
 pub struct BoxDesignProblem {
     doc_schema: REdtd,
     fun_schemas: BTreeMap<Symbol, REdtd>,
-    target: OnceLock<BoxTargetCache>,
+    target: Arc<OnceLock<TargetAutomaton>>,
+    gaps: OnceLock<BTreeMap<Symbol, FunArtifacts>>,
+    ext_memo: Arc<ExtensionMemo>,
 }
 
 impl fmt::Debug for BoxDesignProblem {
@@ -460,22 +527,16 @@ impl fmt::Debug for BoxDesignProblem {
     }
 }
 
-impl From<&crate::DesignProblem> for BoxDesignProblem {
-    /// Embeds a DTD design problem as a box design problem with trivial
-    /// specialisations (every element name is its own specialisation).
-    fn from(problem: &crate::DesignProblem) -> BoxDesignProblem {
-        let mut out = BoxDesignProblem::new(problem.doc_schema().to_edtd());
-        for (f, schema) in problem.fun_schemas() {
-            out.add_function(*f, schema.to_edtd());
-        }
-        out
-    }
-}
-
 impl BoxDesignProblem {
     /// Creates a box design problem with no function schemas.
     pub fn new(doc_schema: REdtd) -> BoxDesignProblem {
-        BoxDesignProblem { doc_schema, fun_schemas: BTreeMap::new(), target: OnceLock::new() }
+        BoxDesignProblem {
+            doc_schema,
+            fun_schemas: BTreeMap::new(),
+            target: Arc::default(),
+            gaps: OnceLock::new(),
+            ext_memo: Arc::default(),
+        }
     }
 
     /// Declares the R-EDTD schema of a function (builder style).
@@ -484,17 +545,13 @@ impl BoxDesignProblem {
         self
     }
 
-    /// Declares a DTD schema for a function, embedded as a trivial EDTD
-    /// (builder style).
-    pub fn with_function_dtd(self, function: impl Into<Symbol>, schema: &RDtd) -> BoxDesignProblem {
-        self.with_function(function, schema.to_edtd())
-    }
-
-    /// Declares the R-EDTD schema of a function, invalidating the cached
-    /// problem artefacts.
+    /// Declares the R-EDTD schema of a function. The determinised target
+    /// depends on the target schema alone and is kept; the gap languages
+    /// and the memoised extension automata are dropped.
     pub fn add_function(&mut self, function: impl Into<Symbol>, schema: REdtd) {
         self.fun_schemas.insert(function.into(), schema);
-        self.target = OnceLock::new();
+        self.gaps = OnceLock::new();
+        self.ext_memo = Arc::default();
     }
 
     /// The target document schema `τ`.
@@ -502,11 +559,13 @@ impl BoxDesignProblem {
         &self.doc_schema
     }
 
-    /// Replaces the target schema, invalidating the cached determinised
-    /// target.
+    /// Replaces the target schema, dropping every cached artefact (clones
+    /// made earlier keep the old determinised target).
     pub fn set_doc_schema(&mut self, doc_schema: REdtd) {
         self.doc_schema = doc_schema;
-        self.target = OnceLock::new();
+        self.target = Arc::default();
+        self.gaps = OnceLock::new();
+        self.ext_memo = Arc::default();
     }
 
     /// The declared function schemas.
@@ -540,57 +599,69 @@ impl BoxDesignProblem {
         out
     }
 
-    /// The lazily built problem artefacts (determinised specialised target,
-    /// per-function gap languages). The first call pays for the
-    /// determinisation; later calls are free.
-    pub fn target_cache(&self) -> &BoxTargetCache {
-        self.target.get_or_init(|| BoxTargetCache::build(&self.doc_schema, &self.fun_schemas))
+    /// Every artefact the problem's decisions use (the determinised
+    /// specialised target and the per-function gap languages), built on the
+    /// first call; later calls are free.
+    ///
+    /// # Panics
+    ///
+    /// Never: the unlimited budget cannot trip.
+    pub fn target_cache(&self) -> BoxTargetCache<'_> {
+        self.target_cache_with_budget(&Budget::unlimited())
+            .expect("the unlimited budget never trips")
     }
 
     /// Governed variant of [`BoxDesignProblem::target_cache`]: the cold
-    /// build (determinisation plus per-function fixpoints) charges `budget`,
-    /// and a trip propagates *without* initialising the cache cell — the
-    /// cell is only set from a fully built cache, so a tripped build leaves
-    /// the problem exactly as it was and a retry with a larger budget
-    /// rebuilds cleanly.
-    pub fn target_cache_with_budget(&self, budget: &Budget) -> Result<&BoxTargetCache, DesignError> {
-        if let Some(cache) = self.target.get() {
-            return Ok(cache);
+    /// builds (determinisation, then the per-function fixpoints) charge
+    /// `budget`, and a trip propagates *without* initialising the tripped
+    /// cell, so a retry with a larger budget rebuilds cleanly.
+    pub fn target_cache_with_budget(
+        &self,
+        budget: &Budget,
+    ) -> Result<BoxTargetCache<'_>, DesignError> {
+        let target = self.shared_target(budget)?;
+        let funs = match self.gaps.get() {
+            Some(funs) => funs,
+            None => {
+                let _span = telemetry::span(telemetry::SpanKind::BoxTargetCacheBuild);
+                telemetry::count(telemetry::Metric::BoxTargetCacheBuilds, 1);
+                let built = build_fun_artifacts(&self.fun_schemas, &target.duta, budget)?;
+                self.gaps.get_or_init(|| built)
+            }
+        };
+        Ok(BoxTargetCache { target, funs })
+    }
+
+    /// The determinised target, built (charging `budget`) on first use and
+    /// shared with every clone.
+    pub(crate) fn shared_target(&self, budget: &Budget) -> Result<&TargetAutomaton, DesignError> {
+        if let Some(target) = self.target.get() {
+            return Ok(target);
         }
-        let built = BoxTargetCache::build_with(&self.doc_schema, &self.fun_schemas, budget)?;
+        let built = TargetAutomaton::build(&self.doc_schema, budget)?;
         Ok(self.target.get_or_init(|| built))
     }
 
-    /// Whether the cache has been built (used by tests and benches to pin
-    /// that repeated decisions do not re-determinise).
+    /// Whether the determinised target has been built (used by tests and
+    /// benches to pin that repeated decisions do not re-determinise).
     pub fn target_cache_ready(&self) -> bool {
         self.target.get().is_some()
     }
 
-    /// Point-in-time statistics of this problem's caches. The extension
-    /// memo fields stay zero — box problems build their extension automata
-    /// per call and memoise only the target-derived artefacts.
+    /// Point-in-time statistics of this problem's caches: whether the
+    /// determinised target exists, the Moore-machine DFA memo's builds and
+    /// hits, and the extension memo's hits and misses. Both memos count for
+    /// every clone that shares them.
     pub fn cache_stats(&self) -> CacheStats {
-        let (residual_dfa_builds, residual_dfa_hits) = self
-            .target
-            .get()
-            .map_or((0, 0), BoxTargetCache::residual_stats);
+        let (residual_dfa_builds, residual_dfa_hits) =
+            self.target.get().map_or((0, 0), |target| target.machine_dfas.stats());
         CacheStats {
             target_cache_built: self.target_cache_ready(),
             residual_dfa_builds,
             residual_dfa_hits,
-            ext_memo_hits: 0,
-            ext_memo_misses: 0,
+            ext_memo_hits: self.ext_memo.hits.load(Ordering::Relaxed),
+            ext_memo_misses: self.ext_memo.misses.load(Ordering::Relaxed),
         }
-    }
-
-    fn require_schemas(&self, doc: &DistributedDoc) -> Result<(), DesignError> {
-        for f in doc.called_functions() {
-            if !self.fun_schemas.contains_key(&f) {
-                return Err(DesignError::MissingFunctionSchema { function: f });
-            }
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -608,15 +679,15 @@ impl BoxDesignProblem {
         if doc.is_function(kernel.label(node)) {
             return None;
         }
-        let cache = self.target_cache();
+        let duta = self.target_cache().duta();
         let mut b = BoxLang::epsilon();
         for &child in kernel.children(node) {
             let sub = kernel.subtree(child);
             if sub.document_order().iter().any(|&n| doc.is_function(sub.label(n))) {
                 return None;
             }
-            match cache.duta.run(&sub) {
-                Some(states) => b.push_slot(cache.duta.subset(states[sub.root()]).iter().cloned()),
+            match duta.run(&sub) {
+                Some(states) => b.push_slot(duta.subset(states[sub.root()]).iter().cloned()),
                 None => b.push_slot(Vec::<Symbol>::new()),
             }
         }
@@ -629,14 +700,32 @@ impl BoxDesignProblem {
 
     /// A [`Nuta`] recognising exactly the extensions of `doc`: the kernel
     /// with every docking point `f` replaced by a forest of trees valid
-    /// under `τf`'s specialised rules. The construction mirrors
-    /// [`crate::DesignProblem::extension_nuta`] with specialised names as
-    /// the per-function states.
-    pub fn extension_nuta(&self, doc: &DistributedDoc) -> Result<Nuta, DesignError> {
-        self.require_schemas(doc)?;
+    /// under `τf`'s specialised rules, whose root-label word matches the
+    /// content model of `τf`'s start name.
+    ///
+    /// States are `#k<i>` for kernel node `i` and `<f>$<x>` for specialised
+    /// name `x` of function `f`'s schema (the `$`/`#` mangling cannot
+    /// collide with parsed element names). Each call site expands
+    /// independently, so the automaton over-approximates snapshot
+    /// materialisation when the same function occurs twice — matching the
+    /// paper, where every docking point is its own call.
+    ///
+    /// The automaton is memoised per document (FIFO of the last few
+    /// documents): back-to-back decisions on the same document hand back
+    /// the very same `Arc` without rebuilding. Declaring a function or
+    /// replacing the target clears the memo.
+    pub fn extension_nuta(&self, doc: &DistributedDoc) -> Result<Arc<Nuta>, DesignError> {
+        doc.require_schemas(&self.fun_schemas)?;
+        Ok(self.ext_memo.get_or_build(doc, || self.build_extension_nuta(doc)))
+    }
+
+    /// Builds the extension automaton (no memoisation; callers go through
+    /// [`BoxDesignProblem::extension_nuta`]).
+    fn build_extension_nuta(&self, doc: &DistributedDoc) -> Nuta {
         let kernel = doc.kernel();
         let mut a = Nuta::new();
 
+        // Rules for the trees producible by each called function.
         let mut forest_nfas: BTreeMap<Symbol, Nfa> = BTreeMap::new();
         for f in doc.called_functions() {
             let schema = &self.fun_schemas[&f];
@@ -650,6 +739,8 @@ impl BoxDesignProblem {
             forest_nfas.insert(f, forest);
         }
 
+        // One state per kernel node; the content of a node concatenates its
+        // children, with each docking point contributing its forest language.
         let state_of = |node: usize| Symbol::new(format!("#k{node}"));
         for node in kernel.document_order() {
             if doc.is_function(kernel.label(node)) {
@@ -657,8 +748,7 @@ impl BoxDesignProblem {
             }
             let mut content = Nfa::epsilon();
             for &child in kernel.children(node) {
-                let label = kernel.label(child);
-                let piece = match forest_nfas.get(label) {
+                let piece = match forest_nfas.get(kernel.label(child)) {
                     Some(forest) => forest.clone(),
                     None => Nfa::symbol(state_of(child)),
                 };
@@ -667,7 +757,7 @@ impl BoxDesignProblem {
             a.set_rule(state_of(node), *kernel.label(node), content);
         }
         a.set_final(state_of(kernel.root()));
-        Ok(a)
+        a
     }
 
     /// Decides whether every extension of `doc` validates against the EDTD
@@ -679,29 +769,40 @@ impl BoxDesignProblem {
         self.typecheck_with_budget(doc, &Budget::unlimited())
     }
 
-    /// Governed variant of [`BoxDesignProblem::typecheck`]: the cache build,
-    /// the extension determinisation and the product walk all charge
-    /// `budget`, and a trip surfaces as [`DesignError::BudgetExceeded`]
-    /// without poisoning the problem's caches.
+    /// Governed variant of [`BoxDesignProblem::typecheck`]: the
+    /// determinisation of the target (on a cold cache), the extension
+    /// determinisation and the product walk all charge `budget`, and a trip
+    /// surfaces as [`DesignError::BudgetExceeded`] without poisoning the
+    /// problem's caches.
     pub fn typecheck_with_budget(
         &self,
         doc: &DistributedDoc,
         budget: &Budget,
     ) -> Result<TypingVerdict, DesignError> {
+        self.typecheck_validated(doc, budget, |t| self.doc_schema.validate(t))
+    }
+
+    /// The tree route of every front end: inclusion of the extension
+    /// automaton in the determinised target. A counterexample is explained
+    /// by `validate`, the front end's own validation against its target.
+    pub(crate) fn typecheck_validated(
+        &self,
+        doc: &DistributedDoc,
+        budget: &Budget,
+        validate: impl FnOnce(&XTree) -> Result<(), SchemaError>,
+    ) -> Result<TypingVerdict, DesignError> {
         let _span = telemetry::span(telemetry::SpanKind::Typecheck);
-        budget.check_interrupts().map_err(DesignError::from)?;
+        budget.check_interrupts()?;
         let ext = self.extension_nuta(doc)?;
-        let cache = self.target_cache_with_budget(budget)?;
-        match uta::included_in_duta_with_budget(&ext, &cache.duta, budget)
-            .map_err(DesignError::from)?
-        {
+        let target = self.shared_target(budget)?;
+        match uta::included_in_duta_with_budget(&ext, &target.duta, budget)? {
             Ok(()) => Ok(TypingVerdict::Valid),
-            Err(counterexample) => match self.doc_schema.validate(&counterexample) {
+            Err(counterexample) => match validate(&counterexample) {
                 Err(violation) => Ok(TypingVerdict::Invalid { counterexample, violation }),
                 Ok(()) => Err(DesignError::InvariantViolation {
                     detail: format!(
                         "tree-inclusion counterexample `{counterexample}` unexpectedly \
-                         validates against the EDTD target"
+                         validates against the target schema"
                     ),
                 }),
             },
@@ -711,19 +812,6 @@ impl BoxDesignProblem {
     // ------------------------------------------------------------------
     // Typing verification — box/string route
     // ------------------------------------------------------------------
-
-    /// Renders a witness word over subset-state symbols as a box of
-    /// specialised-name sets.
-    fn box_of(&self, cache: &BoxTargetCache, witness: &[Symbol]) -> BoxLang {
-        let mut b = BoxLang::epsilon();
-        for sym in witness {
-            match letter_of(sym) {
-                Some(i) => b.push_slot(cache.duta.subset(i).iter().cloned()),
-                None => b.push_slot(Vec::<Symbol>::new()),
-            }
-        }
-        b
-    }
 
     /// The Section-7 string route: typing verification without tree
     /// automata on the extension side. One bottom-up pass over the kernel
@@ -750,19 +838,17 @@ impl BoxDesignProblem {
         budget: &Budget,
     ) -> Result<BoxVerdict, DesignError> {
         let _span = telemetry::span(telemetry::SpanKind::VerifyLocal);
-        budget.check_interrupts().map_err(DesignError::from)?;
-        self.require_schemas(doc)?;
-        let cache = self.target_cache_with_budget(budget)?;
+        budget.check_interrupts()?;
+        doc.require_schemas(&self.fun_schemas)?;
+        let BoxTargetCache { target, funs } = self.target_cache_with_budget(budget)?;
         let kernel = doc.kernel();
         let called = doc.called_functions();
 
-        for f in &called {
-            if cache.funs[f].forest_empty {
-                return Ok(BoxVerdict::Valid);
-            }
+        if called.iter().any(|f| funs[f].forest_empty) {
+            return Ok(BoxVerdict::Valid);
         }
         for f in &called {
-            if let Some(label) = &cache.funs[f].unknown {
+            if let Some(label) = &funs[f].unknown {
                 return Ok(BoxVerdict::Invalid(BoxViolation::UnknownElement {
                     element: *label,
                     origin: Origin::Function { function: *f },
@@ -770,7 +856,7 @@ impl BoxDesignProblem {
             }
         }
 
-        let universe = cache.duta.num_states();
+        let universe = target.duta.num_states();
         let mut achievable: Vec<StateSet> = vec![StateSet::empty(universe); kernel.size()];
         for node in kernel.bottom_up_order() {
             let label = kernel.label(node);
@@ -778,49 +864,36 @@ impl BoxDesignProblem {
                 continue;
             }
             let origin = || Origin::Kernel { path: kernel.anc_str(node) };
-            if !cache.duta.labels().contains(label) {
+            if !target.duta.labels().contains(label) {
                 return Ok(BoxVerdict::Invalid(BoxViolation::UnknownElement {
                     element: *label,
                     origin: origin(),
                 }));
             }
-            let mut word = Nfa::epsilon();
-            for &child in kernel.children(node) {
-                let child_label = kernel.label(child);
-                let piece = match cache.funs.get(child_label) {
-                    Some(fa) if doc.is_function(child_label) => fa.forest_states.clone(),
-                    _ => state_set_nfa(&achievable[child]),
-                };
-                word = word.concat(&piece);
-            }
-            let outs = cache
-                .duta
-                .outputs_over_with_budget(label, &word, letter_of, budget)
-                .map_err(DesignError::from)?;
+            let word = children_word(doc, funs, &achievable, kernel.children(node));
+            let outs = target.duta.outputs_over_with_budget(label, &word, letter_of, budget)?;
             // A realizable child word with no typing at all is already a
             // violation — the surrounding kernel always completes it to a
             // full extension (all gap languages are non-empty), and the
             // empty subset propagates to a non-accepting root.
-            if let Some(ei) = cache.empty_subset {
-                if let Some(witness) = outs.get(&ei) {
-                    return Ok(BoxVerdict::Invalid(BoxViolation::Content {
-                        element: *label,
-                        counterexample: self.box_of(cache, witness),
-                        admitted: Vec::new(),
-                        origin: origin(),
-                    }));
-                }
+            if let Some(witness) = target.empty_subset.and_then(|ei| outs.get(&ei)) {
+                return Ok(BoxVerdict::Invalid(BoxViolation::Content {
+                    element: *label,
+                    counterexample: target.box_of(witness),
+                    admitted: Vec::new(),
+                    origin: origin(),
+                }));
             }
             if node == kernel.root() {
-                for (&state, witness) in &outs {
-                    if !cache.accepting.contains(state) {
-                        return Ok(BoxVerdict::Invalid(BoxViolation::Content {
-                            element: *label,
-                            counterexample: self.box_of(cache, witness),
-                            admitted: cache.duta.subset(state).iter().cloned().collect(),
-                            origin: origin(),
-                        }));
-                    }
+                if let Some((&state, witness)) =
+                    outs.iter().find(|(state, _)| !target.accepting.contains(**state))
+                {
+                    return Ok(BoxVerdict::Invalid(BoxViolation::Content {
+                        element: *label,
+                        counterexample: target.box_of(witness),
+                        admitted: target.duta.subset(state).iter().cloned().collect(),
+                        origin: origin(),
+                    }));
                 }
             }
             achievable[node] = StateSet::from_iter(universe, outs.keys().copied());
@@ -895,40 +968,23 @@ impl BoxDesignProblem {
         budget: &Budget,
     ) -> Result<REdtd, DesignError> {
         let _span = telemetry::span(telemetry::SpanKind::PerfectSchema);
-        budget.check_interrupts().map_err(DesignError::from)?;
+        budget.check_interrupts()?;
         let f = function.into();
         let kernel = doc.kernel();
-
-        let mut docking: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-        for parent in kernel.document_order() {
-            if doc.is_function(kernel.label(parent)) {
-                continue;
-            }
-            for (position, &child) in kernel.children(parent).iter().enumerate() {
-                if kernel.label(child) == &f {
-                    docking.entry(parent).or_default().push(position);
-                }
-            }
-        }
-        if !doc.is_function(&f) || docking.is_empty() {
-            return Err(DesignError::FunctionNotCalled { function: f });
-        }
+        let docking = doc.docking_points(&f)?;
         if docking.len() > 1 {
             return Err(DesignError::SynthesisUnsupported {
                 function: f,
                 detail: "its docking points sit under several distinct parents".into(),
             });
         }
-        let cache = self.target_cache_with_budget(budget)?;
+        let BoxTargetCache { target, funs } = self.target_cache_with_budget(budget)?;
         let mut forced_empty = false;
         for g in doc.called_functions() {
             if g == f {
                 continue;
             }
-            let art = cache
-                .funs
-                .get(&g)
-                .ok_or(DesignError::MissingFunctionSchema { function: g })?;
+            let art = funs.get(&g).ok_or(DesignError::MissingFunctionSchema { function: g })?;
             if art.forest_empty {
                 return Err(DesignError::NoMaximalSchema { function: f });
             }
@@ -951,63 +1007,40 @@ impl BoxDesignProblem {
         spine.reverse();
         let spine_set: BTreeSet<NodeId> = spine.iter().copied().collect();
 
-        let universe = cache.duta.num_states();
+        let duta = &target.duta;
+        let universe = duta.num_states();
         let mut achievable: Vec<StateSet> = vec![StateSet::empty(universe); kernel.size()];
         for node in kernel.bottom_up_order() {
             let label = kernel.label(node);
             if spine_set.contains(&node) || doc.is_function(label) {
                 continue;
             }
-            if !cache.duta.labels().contains(label) {
+            if !duta.labels().contains(label) {
                 forced_empty = true;
                 continue;
             }
-            let mut word = Nfa::epsilon();
-            for &child in kernel.children(node) {
-                let child_label = kernel.label(child);
-                let piece = match cache.funs.get(child_label) {
-                    Some(fa) if doc.is_function(child_label) => fa.forest_states.clone(),
-                    _ => state_set_nfa(&achievable[child]),
-                };
-                word = word.concat(&piece);
-            }
-            achievable[node] = StateSet::from_iter(
-                universe,
-                cache
-                    .duta
-                    .outputs_over_with_budget(label, &word, letter_of, budget)
-                    .map_err(DesignError::from)?
-                    .keys()
-                    .copied(),
-            );
+            let word = children_word(doc, funs, &achievable, kernel.children(node));
+            let outs = duta.outputs_over_with_budget(label, &word, letter_of, budget)?;
+            achievable[node] = StateSet::from_iter(universe, outs.keys().copied());
         }
 
         // Top-down: the safe subset states per spine level, then the gap
         // language at the parent.
-        let piece_for = |child: NodeId| -> Nfa {
-            let child_label = kernel.label(child);
-            match cache.funs.get(child_label) {
-                Some(fa) if doc.is_function(child_label) => fa.forest_states.clone(),
-                _ => state_set_nfa(&achievable[child]),
-            }
-        };
-        let segment = |range: &[NodeId]| {
-            range.iter().fold(Nfa::epsilon(), |acc, &c| acc.concat(&piece_for(c)))
-        };
-        let mut safe: StateSet = cache.accepting.clone();
+        let segment = |range: &[NodeId]| children_word(doc, funs, &achievable, range);
+        let mut safe: StateSet = target.accepting.clone();
         let mut gap = Nfa::empty();
         for (level, &x) in spine.iter().enumerate() {
             if forced_empty {
                 break;
             }
             let label = kernel.label(x);
-            if !cache.duta.labels().contains(label) {
+            if !duta.labels().contains(label) {
                 forced_empty = true;
                 break;
             }
-            // The skeleton DFA comes from the problem memo; only the finals
+            // The skeleton DFA comes from the target's memo; only the finals
             // (the admissible outputs at this level) differ per call.
-            let admissible_children = cache.admissible_children_dfa(label, &safe);
+            let admissible_children = target.admissible_children_dfa(label, &safe);
             let children = kernel.children(x);
             if level + 1 < spine.len() {
                 let next = spine[level + 1];
@@ -1018,8 +1051,7 @@ impl BoxDesignProblem {
                 let prefix = segment(&children[..position]);
                 let suffix = segment(&children[position + 1..]);
                 let residual = admissible_children
-                    .universal_context_residual_with_budget(&prefix, &suffix, budget)
-                    .map_err(DesignError::from)?;
+                    .universal_context_residual_with_budget(&prefix, &suffix, budget)?;
                 safe = StateSet::from_iter(
                     universe,
                     (0..universe).filter(|&j| residual.accepts(&[state_sym(j)])),
@@ -1044,13 +1076,12 @@ impl BoxDesignProblem {
                     )
                 } else {
                     admissible_children.uniform_context_residual_with_budget(&contexts, budget)
-                }
-                .map_err(DesignError::from)?;
+                }?;
             }
         }
         let gap = if forced_empty { Nfa::empty() } else { gap };
 
-        let schema = self.build_perfect(&gap, cache);
+        let schema = build_perfect(&gap, duta);
         let candidate = self.clone().with_function(f, schema.clone());
         match candidate.typecheck_with_budget(doc, budget)? {
             TypingVerdict::Valid => Ok(schema),
@@ -1084,55 +1115,49 @@ impl BoxDesignProblem {
             .map(|f| self.perfect_schema(doc, f).map(|s| (f, s)))
             .collect()
     }
+}
 
-    /// Materialises a gap language over subset-state symbols as an R-EDTD:
-    /// a fresh start whose content model is the gap language with every
-    /// state expanded to the inhabited `(label, state)` pairs carrying it,
-    /// plus one specialised rule per reachable pair holding the target's
-    /// exact content language for that pair.
-    fn build_perfect(&self, gap: &Nfa, cache: &BoxTargetCache) -> REdtd {
-        let duta = &cache.duta;
-        let pairs = duta.inhabited_label_states();
-        let mut slots: BTreeMap<Symbol, BTreeSet<Symbol>> = BTreeMap::new();
-        let mut pair_index: BTreeMap<Symbol, (Symbol, usize)> = BTreeMap::new();
-        for (label, states) in &pairs {
-            for &i in states {
-                let name = label.specialize(i);
-                slots.entry(state_sym(i)).or_default().insert(name);
-                pair_index.insert(name, (*label, i));
-            }
+/// Materialises a gap language over subset-state symbols as an R-EDTD: a
+/// fresh start whose content model is the gap language with every state
+/// expanded to the inhabited `(label, state)` pairs carrying it, plus one
+/// specialised rule per reachable pair holding the target's exact content
+/// language for that pair.
+fn build_perfect(gap: &Nfa, duta: &Duta) -> REdtd {
+    let pairs = duta.inhabited_label_states();
+    let mut slots: BTreeMap<Symbol, BTreeSet<Symbol>> = BTreeMap::new();
+    let mut pair_index: BTreeMap<Symbol, (Symbol, usize)> = BTreeMap::new();
+    for (label, states) in &pairs {
+        for &i in states {
+            let name = label.specialize(i);
+            slots.entry(state_sym(i)).or_default().insert(name);
+            pair_index.insert(name, (*label, i));
         }
-        let mut start = String::from("result");
-        while duta.labels().contains(&Symbol::new(&start)) {
-            start.push('_');
-        }
-        let mut schema = REdtd::new(RFormalism::Nfa, start.as_str(), start.as_str());
-        let forest = gap.trim().expand_symbols(&slots);
-        schema.set_rule(start.as_str(), RSpec::Nfa(forest.clone()));
-        let mut queue: VecDeque<Symbol> = forest.alphabet().iter().cloned().collect();
-        let mut seen: BTreeSet<Symbol> = queue.iter().cloned().collect();
-        while let Some(name) = queue.pop_front() {
-            let (label, i) = pair_index[&name];
-            let content = duta
-                .content_nfa(i, &label, state_sym)
-                .expand_symbols(&slots)
-                .trim();
-            for next in content.alphabet().iter() {
-                if seen.insert(*next) {
-                    queue.push_back(*next);
-                }
-            }
-            schema.add_specialization(name, label);
-            schema.set_rule(name, RSpec::Nfa(content));
-        }
-        schema
     }
+    let start = fresh_start(duta.labels());
+    let mut schema = REdtd::new(RFormalism::Nfa, start.as_str(), start.as_str());
+    let forest = gap.trim().expand_symbols(&slots);
+    schema.set_rule(start.as_str(), RSpec::Nfa(forest.clone()));
+    let mut queue: VecDeque<Symbol> = forest.alphabet().iter().cloned().collect();
+    let mut seen: BTreeSet<Symbol> = queue.iter().cloned().collect();
+    while let Some(name) = queue.pop_front() {
+        let (label, i) = pair_index[&name];
+        let content = duta.content_nfa(i, &label, state_sym).expand_symbols(&slots).trim();
+        for next in content.alphabet().iter() {
+            if seen.insert(*next) {
+                queue.push_back(*next);
+            }
+        }
+        schema.add_specialization(name, label);
+        schema.set_rule(name, RSpec::Nfa(content));
+    }
+    schema
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dxml_automata::Regex;
+    use dxml_schema::RDtd;
     use dxml_tree::term::parse_term;
 
     fn dtd(rules: &str) -> RDtd {

@@ -1,4 +1,5 @@
-//! Design problems and typing verification (Sections 3–5).
+//! Design problems with DTD targets (Sections 3–5): the DTD front end of
+//! the design engine.
 //!
 //! A [`DesignProblem`] pairs the *global type* `τ` a distributed document
 //! must conform to with a schema `τf` for each function, describing the
@@ -6,18 +7,21 @@
 //! possible extension `ext_T(t1…tn)` with `ti ∈ [τfi]` validates against `τ`
 //! — the typing-verification problem.
 //!
-//! Two decision procedures are provided and proved against each other by the
-//! test suite:
+//! A DTD is the R-EDTD in which every name is its own specialisation, so the
+//! problem holds its trivial-EDTD embedding, a [`BoxDesignProblem`], and the
+//! tree route runs there once for both front ends. What stays here is what
+//! is phrased in DTD terms:
 //!
-//! * [`DesignProblem::typecheck`] — the general tree-automaton route: build a
-//!   [`Nuta`] recognising exactly the extension language
-//!   ([`DesignProblem::extension_nuta`]), then decide tree-language inclusion
-//!   in `τ` (product/complement inside [`dxml_tree::uta`]), extracting a full
-//!   counterexample document on failure.
-//! * [`DesignProblem::verify_local`] — the DTD fast path: since DTD
+//! * [`DesignProblem::typecheck`] — the engine's tree-automaton route
+//!   ([`BoxDesignProblem::typecheck`]); its counterexample document is
+//!   explained by [`RDtd::validate`], so the violation names the DTD's
+//!   content models.
+//! * [`DesignProblem::verify_local`] — the DTD string walk: since DTD
 //!   validation is per-node-local, the extension language is included in
 //!   `[τ]` iff a family of *string*-language inclusions holds, each decided
-//!   by [`dxml_automata::equiv::included`] with a counterexample word.
+//!   by [`dxml_automata::equiv::included`] with a counterexample word. The
+//!   same walk, with the synthesised function's docking parents skipped,
+//!   explains refuted candidates in [`crate::perfect`].
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -28,16 +32,11 @@ use dxml_automata::equiv::included_with_budget as str_included_with_budget;
 use dxml_telemetry as telemetry;
 use dxml_automata::{AutomataError, Budget, Dfa, Nfa, RSpec, Symbol};
 use dxml_schema::{RDtd, SchemaError};
-use dxml_tree::uta::Duta;
-use dxml_tree::{uta, Nuta, XTree};
+use dxml_tree::{NodeId, Nuta, XTree};
 
+use crate::boxes::BoxDesignProblem;
 use crate::doc::DistributedDoc;
 use crate::error::DesignError;
-
-/// How many `(document, extension automaton)` pairs a problem memoises —
-/// enough for the few documents a problem is typically checked against
-/// back-to-back, small enough that stale documents do not accumulate.
-const EXT_CACHE_CAP: usize = 4;
 
 /// A function schema reduced once per problem (every surviving name
 /// realizable, Definition 5) together with its *forest* language — the
@@ -147,17 +146,14 @@ impl fmt::Debug for ResidualDfaCache {
     }
 }
 
-/// Problem artefacts that are expensive to build and independent of the
-/// document being checked: computed lazily on first use and shared by
-/// [`DesignProblem::typecheck`], [`DesignProblem::verify_local`] and the
-/// perfect-schema synthesis of [`crate::perfect`]. Besides the
-/// target-derived artefacts this caches the *reduced* function schemas, so
-/// repeated local verification stops re-reducing them per call, and the
-/// determinised content models the residual constructions consume, so
-/// repeated synthesis stops re-determinising them per call.
+/// What the DTD string walk and the perfect-typing synthesis of
+/// [`crate::perfect`] read: the target's content NFAs and productive names,
+/// the function schemas reduced once per problem, and the memo of
+/// determinised content models the residual constructions consume. Built
+/// lazily on the first decision that needs it; the determinised target
+/// lives in the problem's embedding (see [`DesignProblem::target_cache`]).
 #[derive(Clone, Debug)]
 pub struct TargetCache {
-    duta: Duta,
     content_nfas: BTreeMap<Symbol, Nfa>,
     epsilon: Nfa,
     productive: BTreeSet<Symbol>,
@@ -167,45 +163,22 @@ pub struct TargetCache {
 
 impl TargetCache {
     fn build(target: &RDtd, fun_schemas: &BTreeMap<Symbol, RDtd>) -> TargetCache {
-        TargetCache::build_with(target, fun_schemas, &Budget::unlimited())
-            .expect("the unlimited budget never trips")
-    }
-
-    /// Governed cache build: the target determinisation charges `budget`
-    /// and a trip aborts the build *before* anything is cached, so a later
-    /// retry (with a larger budget or none) starts clean.
-    fn build_with(
-        target: &RDtd,
-        fun_schemas: &BTreeMap<Symbol, RDtd>,
-        budget: &Budget,
-    ) -> Result<TargetCache, AutomataError> {
         let _span = telemetry::span(telemetry::SpanKind::TargetCacheBuild);
         telemetry::count(telemetry::Metric::TargetCacheBuilds, 1);
-        let nuta = target.to_uta();
-        let duta = nuta.determinize_with_budget(target.alphabet(), budget)?;
-        let content_nfas = target
-            .alphabet()
-            .iter()
-            .map(|a| (*a, target.content(a).to_nfa()))
-            .collect();
-        let reduced_fun = fun_schemas
-            .iter()
-            .map(|(f, schema)| (*f, ReducedFun::build(schema)))
-            .collect();
-        Ok(TargetCache {
-            duta,
-            content_nfas,
+        TargetCache {
+            content_nfas: target
+                .alphabet()
+                .iter()
+                .map(|a| (*a, target.content(a).to_nfa()))
+                .collect(),
             epsilon: Nfa::epsilon(),
             productive: target.bound_names(),
-            reduced_fun,
+            reduced_fun: fun_schemas
+                .iter()
+                .map(|(f, schema)| (*f, ReducedFun::build(schema)))
+                .collect(),
             residual_dfas: ResidualDfaCache::default(),
-        })
-    }
-
-    /// The target's tree automaton, determinised (bottom-up) over the
-    /// target's own label universe.
-    pub fn duta(&self) -> &Duta {
-        &self.duta
+        }
     }
 
     /// The content model of `name` as an NFA (`{ε}` for names without a
@@ -247,12 +220,13 @@ impl TargetCache {
         self.residual_dfas
             .get_or_try_build(name, || Dfa::from_nfa_with_budget(self.content_nfa(name), budget))
     }
+}
 
-    /// Residual-memo misses and hits so far (backs
-    /// [`DesignProblem::cache_stats`]).
-    pub(crate) fn residual_stats(&self) -> (u64, u64) {
-        self.residual_dfas.stats()
-    }
+/// The child words a kernel child labelled `label` contributes to its
+/// parent: the reduced forest language when it is a docking point of a
+/// function in `funs`, the singleton of its own label otherwise.
+pub(crate) fn child_language(label: &Symbol, funs: &BTreeMap<Symbol, &ReducedFun>) -> Nfa {
+    funs.get(label).map_or_else(|| Nfa::symbol(*label), |r| r.forest().clone())
 }
 
 /// Point-in-time cache statistics of one design problem: how much of the
@@ -261,11 +235,10 @@ impl TargetCache {
 /// (`cache.residual_dfa_*`, `design.ext_memo_*`); these per-problem numbers
 /// are kept separately so assertions about *this* problem stay exact no
 /// matter what other problems in the process are doing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct CacheStats {
-    /// Whether the target cache (determinised target automaton, content
-    /// NFAs, reduced function schemas) has been built.
+    /// Whether the determinised target automaton has been built.
     pub target_cache_built: bool,
     /// Residual-DFA memo misses: content models actually determinised.
     pub residual_dfa_builds: u64,
@@ -278,42 +251,21 @@ pub struct CacheStats {
 }
 
 /// A typing-verification instance: the target document schema `τ` plus one
-/// schema per function symbol.
+/// schema per function symbol — the DTD front end of the design engine.
 ///
-/// The determinised target automaton (and the other problem-derived
-/// artefacts in [`TargetCache`], including the reduced function schemas) is
-/// computed lazily on the first decision and reused by every subsequent
-/// [`DesignProblem::typecheck`], [`DesignProblem::verify_local`] and
-/// [`DesignProblem::perfect_schema`](crate::perfect) call. The *extension*
-/// automaton is additionally memoised per document, so back-to-back
-/// decisions on the same document stop rebuilding it. Mutating the problem
-/// through [`DesignProblem::set_doc_schema`] or
-/// [`DesignProblem::add_function`] invalidates both caches.
+/// The problem holds its trivial-EDTD embedding, built on the first
+/// decision and kept in sync by [`DesignProblem::add_function`]. Its
+/// determinised target is shared with every clone and every
+/// [`From`](BoxDesignProblem::from) image, survives `add_function`, and is
+/// dropped only by [`DesignProblem::set_doc_schema`]. The extension memo is
+/// shared the same way until either mutation, and the [`TargetCache`] of
+/// the string walk is rebuilt after either.
+#[derive(Clone)]
 pub struct DesignProblem {
     doc_schema: RDtd,
     fun_schemas: BTreeMap<Symbol, RDtd>,
+    engine: OnceLock<BoxDesignProblem>,
     target: OnceLock<TargetCache>,
-    /// FIFO memo of extension automata, keyed by the document.
-    ext_cache: Mutex<Vec<(DistributedDoc, Arc<Nuta>)>>,
-    /// Extension-memo hits/misses for [`DesignProblem::cache_stats`]
-    /// (mirrored into the global `design.ext_memo_*` telemetry counters).
-    ext_hits: AtomicU64,
-    ext_misses: AtomicU64,
-}
-
-impl Clone for DesignProblem {
-    fn clone(&self) -> Self {
-        DesignProblem {
-            doc_schema: self.doc_schema.clone(),
-            fun_schemas: self.fun_schemas.clone(),
-            target: self.target.clone(),
-            ext_cache: Mutex::new(
-                self.ext_cache.lock().map(|entries| entries.clone()).unwrap_or_default(),
-            ),
-            ext_hits: AtomicU64::new(self.ext_hits.load(Ordering::Relaxed)),
-            ext_misses: AtomicU64::new(self.ext_misses.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl fmt::Debug for DesignProblem {
@@ -323,6 +275,16 @@ impl fmt::Debug for DesignProblem {
             .field("fun_schemas", &self.fun_schemas)
             .field("target_cache_ready", &self.target_cache_ready())
             .finish()
+    }
+}
+
+impl From<&DesignProblem> for BoxDesignProblem {
+    /// Embeds a DTD design problem as a box design problem with trivial
+    /// specialisations (every element name is its own specialisation): a
+    /// clone of the problem's own embedding, sharing its determinised
+    /// target.
+    fn from(problem: &DesignProblem) -> BoxDesignProblem {
+        problem.engine().clone()
     }
 }
 
@@ -395,29 +357,33 @@ pub enum LocalViolation {
     },
 }
 
-impl fmt::Display for LocalViolation {
+impl fmt::Display for Origin {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let origin = |o: &Origin| match o {
+        match self {
             Origin::Kernel { path } => {
                 let p: Vec<&str> = path.iter().map(Symbol::as_str).collect();
-                format!("kernel node /{}", p.join("/"))
+                write!(f, "kernel node /{}", p.join("/"))
             }
-            Origin::Function { function } => format!("documents returned by `{function}`"),
-        };
+            Origin::Function { function } => write!(f, "documents returned by `{function}`"),
+        }
+    }
+}
+
+impl fmt::Display for LocalViolation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LocalViolation::RootLabel { expected, found } => {
                 write!(f, "kernel root is `{found}` but the target schema starts at `{expected}`")
             }
-            LocalViolation::UnknownElement { element, origin: o } => {
-                write!(f, "element `{element}` ({}) is not declared in the target schema", origin(o))
+            LocalViolation::UnknownElement { element, origin } => {
+                write!(f, "element `{element}` ({origin}) is not declared in the target schema")
             }
-            LocalViolation::Content { element, counterexample, expected, origin: o } => {
+            LocalViolation::Content { element, counterexample, expected, origin } => {
                 let w: Vec<&str> = counterexample.iter().map(Symbol::as_str).collect();
                 write!(
                     f,
-                    "children [{}] of `{element}` ({}) are possible but do not match {expected}",
-                    w.join(" "),
-                    origin(o)
+                    "children [{}] of `{element}` ({origin}) are possible but do not match {expected}",
+                    w.join(" ")
                 )
             }
         }
@@ -447,10 +413,8 @@ impl DesignProblem {
         DesignProblem {
             doc_schema,
             fun_schemas: BTreeMap::new(),
+            engine: OnceLock::new(),
             target: OnceLock::new(),
-            ext_cache: Mutex::new(Vec::new()),
-            ext_hits: AtomicU64::new(0),
-            ext_misses: AtomicU64::new(0),
         }
     }
 
@@ -460,12 +424,17 @@ impl DesignProblem {
         self
     }
 
-    /// Declares the schema of a function, invalidating the cached
-    /// problem artefacts (the reduced form of the new schema is cached, and
-    /// the memoised extension automata depend on the function schemas).
+    /// Declares the schema of a function. The embedding gains its trivial
+    /// EDTD and keeps the determinised target; the [`TargetCache`] and the
+    /// memoised extension automata, which depend on the function schemas,
+    /// are dropped.
     pub fn add_function(&mut self, function: impl Into<Symbol>, schema: RDtd) {
-        self.fun_schemas.insert(function.into(), schema);
-        self.invalidate_caches();
+        let function = function.into();
+        if let Some(engine) = self.engine.get_mut() {
+            engine.add_function(function, schema.to_edtd());
+        }
+        self.fun_schemas.insert(function, schema);
+        self.target = OnceLock::new();
     }
 
     /// The target document schema `τ`.
@@ -473,18 +442,13 @@ impl DesignProblem {
         &self.doc_schema
     }
 
-    /// Replaces the target document schema, invalidating the cached
-    /// determinised target.
+    /// Replaces the target document schema, dropping the embedding and every
+    /// cached artefact (clones made earlier keep the old determinised
+    /// target).
     pub fn set_doc_schema(&mut self, doc_schema: RDtd) {
         self.doc_schema = doc_schema;
-        self.invalidate_caches();
-    }
-
-    fn invalidate_caches(&mut self) {
+        self.engine = OnceLock::new();
         self.target = OnceLock::new();
-        if let Ok(entries) = self.ext_cache.get_mut() {
-            entries.clear();
-        }
     }
 
     /// The declared function schemas.
@@ -517,141 +481,71 @@ impl DesignProblem {
         out
     }
 
-    /// The lazily built problem artefacts (determinised target automaton,
-    /// content NFAs, productive names, reduced function schemas). The first
-    /// call pays for the determinisation and the reductions; later calls
-    /// are free.
+    /// The trivial-EDTD embedding every tree-route decision runs on, built
+    /// on first use.
+    fn engine(&self) -> &BoxDesignProblem {
+        self.engine.get_or_init(|| {
+            let mut engine = BoxDesignProblem::new(self.doc_schema.to_edtd());
+            for (f, schema) in &self.fun_schemas {
+                engine.add_function(*f, schema.to_edtd());
+            }
+            engine
+        })
+    }
+
+    /// Builds every artefact the problem's decisions use — the determinised
+    /// target in the embedding, then the string walk's content NFAs,
+    /// productive names and reduced function schemas — and returns the
+    /// latter. The first call pays for the determinisation and the
+    /// reductions; later calls are free.
+    ///
+    /// # Panics
+    ///
+    /// Never: the unlimited budget cannot trip.
     pub fn target_cache(&self) -> &TargetCache {
-        self.target.get_or_init(|| TargetCache::build(&self.doc_schema, &self.fun_schemas))
+        self.target_cache_with_budget(&Budget::unlimited())
+            .expect("the unlimited budget never trips")
     }
 
-    /// Governed variant of [`DesignProblem::target_cache`]: the cold build
-    /// charges `budget`, and a trip propagates *without* initialising the
-    /// cache cell — the cell is only set from a fully built cache, so a
-    /// tripped build leaves the problem exactly as it was and a retry (with
-    /// any budget) rebuilds from scratch.
+    /// Governed variant of [`DesignProblem::target_cache`]: the cold
+    /// determinisation charges `budget`, and a trip propagates *without*
+    /// initialising any cache cell, so a tripped build leaves the problem
+    /// exactly as it was and a retry (with any budget) rebuilds from
+    /// scratch.
     pub fn target_cache_with_budget(&self, budget: &Budget) -> Result<&TargetCache, DesignError> {
-        if let Some(cache) = self.target.get() {
-            return Ok(cache);
-        }
-        let built = TargetCache::build_with(&self.doc_schema, &self.fun_schemas, budget)?;
-        Ok(self.target.get_or_init(|| built))
+        self.engine().shared_target(budget)?;
+        Ok(self.target.get_or_init(|| TargetCache::build(&self.doc_schema, &self.fun_schemas)))
     }
 
-    /// Whether the target cache has already been built (used by tests and
-    /// benches to pin that repeated decisions do not re-determinise).
+    /// Whether the determinised target has already been built (used by
+    /// tests and benches to pin that repeated decisions do not
+    /// re-determinise).
     pub fn target_cache_ready(&self) -> bool {
-        self.target.get().is_some()
+        self.engine.get().is_some_and(BoxDesignProblem::target_cache_ready)
     }
 
-    /// Point-in-time statistics of this problem's caches: target-cache
-    /// readiness, residual-DFA memo builds/hits and extension-memo
-    /// hits/misses. Exact for this problem regardless of other work in the
-    /// process; the same events also feed the global [`dxml_telemetry`]
-    /// counters.
+    /// Point-in-time statistics of this problem's caches: whether the
+    /// determinised target exists, the content-model memo's builds and hits
+    /// and the extension memo's hits and misses (shared with the clones
+    /// that share the memo). Exact regardless of other work in the process;
+    /// the same events also feed the global [`dxml_telemetry`] counters.
     pub fn cache_stats(&self) -> CacheStats {
-        let (residual_dfa_builds, residual_dfa_hits) = self
-            .target
-            .get()
-            .map_or((0, 0), TargetCache::residual_stats);
+        let (residual_dfa_builds, residual_dfa_hits) =
+            self.target.get().map_or((0, 0), |cache| cache.residual_dfas.stats());
         CacheStats {
-            target_cache_built: self.target_cache_ready(),
             residual_dfa_builds,
             residual_dfa_hits,
-            ext_memo_hits: self.ext_hits.load(Ordering::Relaxed),
-            ext_memo_misses: self.ext_misses.load(Ordering::Relaxed),
+            ..self.engine.get().map(BoxDesignProblem::cache_stats).unwrap_or_default()
         }
     }
 
-    fn require_schemas(&self, doc: &DistributedDoc) -> Result<(), DesignError> {
-        for f in doc.called_functions() {
-            if !self.fun_schemas.contains_key(&f) {
-                return Err(DesignError::MissingFunctionSchema { function: f });
-            }
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Extension language as a tree automaton
-    // ------------------------------------------------------------------
-
-    /// A [`Nuta`] recognising exactly the extensions of `doc`: the kernel
-    /// with every docking point `f` replaced by a forest of `τf`-valid trees
-    /// whose root-label word matches the content model of `τf`'s start
-    /// symbol.
-    ///
-    /// States are `#k<i>` for kernel node `i` and `<f>$<a>` for element `a`
-    /// of function `f`'s schema (the `$`/`#` mangling cannot collide with
-    /// parsed element names). Each call site expands independently, so the
-    /// automaton over-approximates snapshot materialisation when the same
-    /// function occurs twice — matching the paper, where every docking point
-    /// is its own call.
-    ///
-    /// The automaton is memoised per document (FIFO of the last few
-    /// documents): back-to-back decisions on the same document hand back
-    /// the very same `Arc` without rebuilding. Mutating the problem clears
-    /// the memo.
+    /// A [`Nuta`] recognising exactly the extensions of `doc`, built and
+    /// memoised per document by the embedding
+    /// ([`BoxDesignProblem::extension_nuta`]). With trivial specialisations
+    /// its states are `#k<i>` for kernel node `i` and `<f>$<a>` for element
+    /// `a` of function `f`'s schema.
     pub fn extension_nuta(&self, doc: &DistributedDoc) -> Result<Arc<Nuta>, DesignError> {
-        self.require_schemas(doc)?;
-        if let Ok(entries) = self.ext_cache.lock() {
-            if let Some((_, ext)) = entries.iter().find(|(d, _)| d == doc) {
-                self.ext_hits.fetch_add(1, Ordering::Relaxed);
-                telemetry::count(telemetry::Metric::ExtMemoHits, 1);
-                return Ok(Arc::clone(ext));
-            }
-        }
-        self.ext_misses.fetch_add(1, Ordering::Relaxed);
-        telemetry::count(telemetry::Metric::ExtMemoMisses, 1);
-        let ext = Arc::new(self.build_extension_nuta(doc));
-        if let Ok(mut entries) = self.ext_cache.lock() {
-            if entries.len() >= EXT_CACHE_CAP {
-                entries.remove(0);
-            }
-            entries.push((doc.clone(), Arc::clone(&ext)));
-        }
-        Ok(ext)
-    }
-
-    /// Builds the extension automaton (no memoisation; callers go through
-    /// [`DesignProblem::extension_nuta`]).
-    fn build_extension_nuta(&self, doc: &DistributedDoc) -> Nuta {
-        let kernel = doc.kernel();
-        let mut a = Nuta::new();
-
-        // Rules for the trees producible by each called function.
-        let mut forest_nfas: BTreeMap<Symbol, Nfa> = BTreeMap::new();
-        for f in doc.called_functions() {
-            let schema = &self.fun_schemas[&f];
-            let prefix = |name: &Symbol| Symbol::new(format!("{f}${name}"));
-            for name in schema.alphabet().iter() {
-                let content = schema.content(name).to_nfa().map_symbols(prefix);
-                a.set_rule(prefix(name), *name, content);
-            }
-            let forest = schema.content(schema.start()).to_nfa().map_symbols(prefix);
-            forest_nfas.insert(f, forest);
-        }
-
-        // One state per kernel node; the content of a node concatenates its
-        // children, with each docking point contributing its forest language.
-        let state_of = |node: usize| Symbol::new(format!("#k{node}"));
-        for node in kernel.document_order() {
-            if doc.is_function(kernel.label(node)) {
-                continue;
-            }
-            let mut content = Nfa::epsilon();
-            for &child in kernel.children(node) {
-                let label = kernel.label(child);
-                let piece = match forest_nfas.get(label) {
-                    Some(forest) => forest.clone(),
-                    None => Nfa::symbol(state_of(child)),
-                };
-                content = content.concat(&piece);
-            }
-            a.set_rule(state_of(node), *kernel.label(node), content);
-        }
-        a.set_final(state_of(kernel.root()));
-        a
+        self.engine().extension_nuta(doc)
     }
 
     // ------------------------------------------------------------------
@@ -664,9 +558,9 @@ impl DesignProblem {
     /// carries a full counterexample document and the validation error it
     /// triggers.
     ///
-    /// The target automaton is determinised once per problem (see
-    /// [`DesignProblem::target_cache`]); repeated calls only pay for the
-    /// extension side.
+    /// The target automaton is determinised once per target schema and
+    /// shared (see [`DesignProblem::target_cache`]); repeated calls only pay
+    /// for the extension side.
     pub fn typecheck(&self, doc: &DistributedDoc) -> Result<TypingVerdict, DesignError> {
         self.typecheck_with_budget(doc, &Budget::unlimited())
     }
@@ -680,27 +574,10 @@ impl DesignProblem {
         doc: &DistributedDoc,
         budget: &Budget,
     ) -> Result<TypingVerdict, DesignError> {
-        let _span = telemetry::span(telemetry::SpanKind::Typecheck);
-        budget.check_interrupts().map_err(DesignError::from)?;
-        let ext = self.extension_nuta(doc)?;
-        let cache = self.target_cache_with_budget(budget)?;
-        match uta::included_in_duta_with_budget(&ext, cache.duta(), budget)
-            .map_err(DesignError::from)?
-        {
-            Ok(()) => Ok(TypingVerdict::Valid),
-            Err(counterexample) => match self.doc_schema.validate(&counterexample) {
-                Err(violation) => Ok(TypingVerdict::Invalid { counterexample, violation }),
-                Ok(()) => Err(DesignError::InvariantViolation {
-                    detail: format!(
-                        "tree-inclusion counterexample `{counterexample}` unexpectedly \
-                         validates against the target schema"
-                    ),
-                }),
-            },
-        }
+        self.engine().typecheck_validated(doc, budget, |t| self.doc_schema.validate(t))
     }
 
-    /// The DTD fast path: local typing verification by string-language
+    /// The DTD string walk: local typing verification by string-language
     /// inclusions only (no tree automata). Sound and complete for DTD
     /// targets because DTD validation is per-node-local; agrees with
     /// [`DesignProblem::typecheck`] on every input (asserted by the tests).
@@ -734,28 +611,48 @@ impl DesignProblem {
         budget: &Budget,
     ) -> Result<LocalVerdict, DesignError> {
         let _span = telemetry::span(telemetry::SpanKind::VerifyLocal);
-        budget.check_interrupts().map_err(DesignError::from)?;
-        self.require_schemas(doc)?;
-        let kernel = doc.kernel();
-        let tau = &self.doc_schema;
+        budget.check_interrupts()?;
+        doc.require_schemas(&self.fun_schemas)?;
         let cache = self.target_cache_with_budget(budget)?;
-        let called = doc.called_functions();
 
         // The reduced function schemas (every surviving name realizable —
         // what makes counterexample words realizable and the check
         // complete) come from the problem cache: reduced once, reused by
         // every later call.
         let mut reduced: BTreeMap<Symbol, &ReducedFun> = BTreeMap::new();
-        for f in &called {
-            let r = cache.reduced_fun(f).expect("require_schemas admitted only declared functions");
+        for f in doc.called_functions() {
+            let r =
+                cache.reduced_fun(&f).expect("require_schemas admitted only declared functions");
             if r.language_is_empty() {
                 return Ok(LocalVerdict::Valid);
             }
-            reduced.insert(*f, r);
+            reduced.insert(f, r);
         }
+        Ok(match self.local_violation(doc, cache, &reduced, |_| false, budget)? {
+            Some(violation) => LocalVerdict::Invalid(violation),
+            None => LocalVerdict::Valid,
+        })
+    }
 
+    /// The walk behind [`DesignProblem::verify_local`]: the first violation
+    /// in the order the checks are listed there, or `None`. Only the
+    /// forests of the functions in `funs` are expanded and checked, and the
+    /// content of a kernel node for which `skip` holds is not checked —
+    /// perfect-typing synthesis passes every function but the synthesised
+    /// one and skips that function's docking parents, leaving exactly the
+    /// violations no schema of it can influence.
+    pub(crate) fn local_violation(
+        &self,
+        doc: &DistributedDoc,
+        cache: &TargetCache,
+        funs: &BTreeMap<Symbol, &ReducedFun>,
+        skip: impl Fn(NodeId) -> bool,
+        budget: &Budget,
+    ) -> Result<Option<LocalViolation>, DesignError> {
+        let kernel = doc.kernel();
+        let tau = &self.doc_schema;
         if kernel.root_label() != tau.start() {
-            return Ok(LocalVerdict::Invalid(LocalViolation::RootLabel {
+            return Ok(Some(LocalViolation::RootLabel {
                 expected: *tau.start(),
                 found: *kernel.root_label(),
             }));
@@ -769,24 +666,22 @@ impl DesignProblem {
             }
             let origin = || Origin::Kernel { path: kernel.anc_str(node) };
             if !tau.alphabet().contains(label) {
-                return Ok(LocalVerdict::Invalid(LocalViolation::UnknownElement {
+                return Ok(Some(LocalViolation::UnknownElement {
                     element: *label,
                     origin: origin(),
                 }));
             }
-            let mut realizable = Nfa::epsilon();
-            for &child in kernel.children(node) {
-                let child_label = kernel.label(child);
-                let piece = match reduced.get(child_label) {
-                    Some(r) => r.forest().clone(),
-                    None => Nfa::symbol(*child_label),
-                };
-                realizable = realizable.concat(&piece);
+            if skip(node) {
+                continue;
             }
-            let verdict = str_included_with_budget(&realizable, cache.content_nfa(label), budget)
-                .map_err(DesignError::from)?;
-            if let Err(ce) = verdict {
-                return Ok(LocalVerdict::Invalid(LocalViolation::Content {
+            let realizable = kernel
+                .children(node)
+                .iter()
+                .fold(Nfa::epsilon(), |acc, &c| acc.concat(&child_language(kernel.label(c), funs)));
+            if let Err(ce) =
+                str_included_with_budget(&realizable, cache.content_nfa(label), budget)?
+            {
+                return Ok(Some(LocalViolation::Content {
                     element: *label,
                     counterexample: ce.word,
                     expected: format!("{}", tau.content(label)),
@@ -796,8 +691,8 @@ impl DesignProblem {
         }
 
         // (3) function forests: every name reachable below an attached root.
-        for f in &called {
-            let r = reduced[f].schema();
+        for (f, reduced) in funs {
+            let r = reduced.schema();
             let mut seen: BTreeSet<Symbol> = r
                 .content(r.start())
                 .alphabet()
@@ -807,22 +702,19 @@ impl DesignProblem {
                 .collect();
             let mut queue: VecDeque<Symbol> = seen.iter().cloned().collect();
             while let Some(name) = queue.pop_front() {
+                let origin = Origin::Function { function: *f };
                 if !tau.alphabet().contains(&name) {
-                    return Ok(LocalVerdict::Invalid(LocalViolation::UnknownElement {
-                        element: name,
-                        origin: Origin::Function { function: *f },
-                    }));
+                    return Ok(Some(LocalViolation::UnknownElement { element: name, origin }));
                 }
                 let content = r.content(&name);
-                let verdict =
-                    str_included_with_budget(&content.to_nfa(), cache.content_nfa(&name), budget)
-                        .map_err(DesignError::from)?;
-                if let Err(ce) = verdict {
-                    return Ok(LocalVerdict::Invalid(LocalViolation::Content {
+                if let Err(ce) =
+                    str_included_with_budget(&content.to_nfa(), cache.content_nfa(&name), budget)?
+                {
+                    return Ok(Some(LocalViolation::Content {
                         element: name,
                         counterexample: ce.word,
                         expected: format!("{}", tau.content(&name)),
-                        origin: Origin::Function { function: *f },
+                        origin,
                     }));
                 }
                 for next in content.alphabet().iter() {
@@ -832,8 +724,7 @@ impl DesignProblem {
                 }
             }
         }
-
-        Ok(LocalVerdict::Valid)
+        Ok(None)
     }
 }
 
@@ -845,6 +736,12 @@ mod tests {
 
     fn dtd(rules: &str) -> RDtd {
         RDtd::parse(RFormalism::Nre, rules).unwrap()
+    }
+
+    /// The embedding's determinised target, seen through a `From` clone
+    /// (which shares it).
+    fn shared_duta(problem: &DesignProblem) -> *const dxml_tree::uta::Duta {
+        BoxDesignProblem::from(problem).target_cache().duta()
     }
 
     fn agree(problem: &DesignProblem, doc: &DistributedDoc) -> bool {
@@ -948,16 +845,41 @@ mod tests {
         assert!(problem.typecheck(&doc).unwrap().is_valid());
         assert!(problem.target_cache_ready());
         // Repeated decisions hand back the very same determinised target.
-        let first = problem.target_cache().duta() as *const _;
+        let first = shared_duta(&problem);
         assert!(problem.typecheck(&doc).unwrap().is_valid());
         assert!(problem.verify_local(&doc).unwrap().is_valid());
-        let second = problem.target_cache().duta() as *const _;
+        let second = shared_duta(&problem);
         assert!(std::ptr::eq(first, second), "typecheck must not re-determinise the target");
         // Replacing the target invalidates the cache.
         let mut changed = problem.clone();
         changed.set_doc_schema(dtd("s -> a"));
         assert!(!changed.target_cache_ready());
         assert!(!changed.typecheck(&doc).unwrap().is_valid());
+    }
+
+    #[test]
+    fn one_determinised_target_is_shared() {
+        let problem = DesignProblem::new(dtd("s -> a, b*\nb -> c?"));
+        let doc = DistributedDoc::parse("s(a f)", ["f"]).unwrap();
+        let perfect = problem.perfect_schema(&doc, "f").unwrap();
+        let duta = shared_duta(&problem);
+        // The embedding, and the copy with the synthesised schema that
+        // perfect_schema confirms its candidate with, reuse it …
+        let embedded = BoxDesignProblem::from(&problem);
+        assert!(std::ptr::eq(duta, embedded.target_cache().duta()));
+        let solved = problem.clone().with_function("f", perfect);
+        assert!(solved.typecheck(&doc).unwrap().is_valid());
+        assert!(std::ptr::eq(duta, shared_duta(&solved)));
+        // … as does every later add_function.
+        let mut more = solved.clone();
+        more.add_function("g", dtd("r -> b"));
+        assert!(std::ptr::eq(duta, shared_duta(&more)));
+        // A new target schema drops it, in the copy only.
+        let mut changed = more.clone();
+        changed.set_doc_schema(dtd("s -> a, b*\nb -> c?"));
+        assert!(!changed.target_cache_ready());
+        assert!(!std::ptr::eq(duta, shared_duta(&changed)));
+        assert!(std::ptr::eq(duta, shared_duta(&more)));
     }
 
     #[test]
@@ -980,10 +902,11 @@ mod tests {
         assert!(problem.typecheck(&doc).unwrap().is_valid());
         let second = problem.target_cache().reduced_fun(&f).unwrap() as *const _;
         assert!(std::ptr::eq(first, second), "verify_local must not re-reduce function schemas");
-        // Declaring a new function invalidates the problem cache.
+        // Declaring a new function rebuilds the reduced schemas; the
+        // determinised target, which depends on the target alone, is kept.
         let mut changed = problem.clone();
         changed.add_function("g", dtd("r -> b"));
-        assert!(!changed.target_cache_ready());
+        assert!(changed.target_cache_ready());
         assert!(changed.target_cache().reduced_fun(&Symbol::new("g")).is_some());
     }
 
@@ -1005,12 +928,13 @@ mod tests {
         // … and both stay cached side by side.
         assert!(Arc::ptr_eq(&third, &problem.extension_nuta(&other).unwrap()));
         assert!(Arc::ptr_eq(&first, &problem.extension_nuta(&doc).unwrap()));
-        // Mutating the schemas drops the memo.
+        // Clones share the memo until one of them declares a function.
+        assert!(Arc::ptr_eq(&first, &problem.clone().extension_nuta(&doc).unwrap()));
         let mut changed = problem.clone();
         changed.add_function("f", dtd("r -> b"));
         assert!(!Arc::ptr_eq(&first, &changed.extension_nuta(&doc).unwrap()));
         // The FIFO is bounded: flooding it evicts the oldest entry.
-        for i in 0..super::EXT_CACHE_CAP {
+        for i in 0..crate::boxes::EXT_CACHE_CAP {
             let flood = DistributedDoc::parse(&format!("s(a {} f)", "b ".repeat(i + 2)), ["f"])
                 .unwrap();
             problem.extension_nuta(&flood).unwrap();

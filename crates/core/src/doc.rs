@@ -88,6 +88,39 @@ impl DistributedDoc {
             .collect()
     }
 
+    /// Fails with [`DesignError::MissingFunctionSchema`] for the first called
+    /// function without an entry in `schemas`.
+    pub(crate) fn require_schemas<T>(
+        &self,
+        schemas: &BTreeMap<Symbol, T>,
+    ) -> Result<(), DesignError> {
+        match self.called_functions().into_iter().find(|f| !schemas.contains_key(f)) {
+            Some(function) => Err(DesignError::MissingFunctionSchema { function }),
+            None => Ok(()),
+        }
+    }
+
+    /// The docking points of `function`, grouped by the kernel node they hang
+    /// under (positions in increasing order), or
+    /// [`DesignError::FunctionNotCalled`] when `function` labels none.
+    pub(crate) fn docking_points(
+        &self,
+        function: &Symbol,
+    ) -> Result<BTreeMap<NodeId, Vec<usize>>, DesignError> {
+        let mut docking: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+        for parent in self.kernel.document_order() {
+            for (position, &child) in self.kernel.children(parent).iter().enumerate() {
+                if self.kernel.label(child) == function {
+                    docking.entry(parent).or_default().push(position);
+                }
+            }
+        }
+        if !self.is_function(function) || docking.is_empty() {
+            return Err(DesignError::FunctionNotCalled { function: *function });
+        }
+        Ok(docking)
+    }
+
     /// Whether the document is fully materialised (no calls left).
     pub fn is_plain(&self) -> bool {
         self.function_nodes().is_empty()

@@ -1,26 +1,29 @@
 //! Distributed XML design: distributed documents and typing verification.
 //!
-//! This crate is the paper's centerpiece layer (Sections 3–5 of *Distributed
+//! This crate is the paper's centerpiece layer (Sections 3–7 of *Distributed
 //! XML Design*, Abiteboul, Gottlob, Manna, PODS '09), built on the string
 //! automata of `dxml-automata`, the trees and tree automata of `dxml-tree`
-//! and the schema languages of `dxml-schema`:
+//! and the schema languages of `dxml-schema`. It has one decision engine
+//! and a DTD front end over it:
 //!
 //! * [`DistributedDoc`] — a kernel document whose leaves may be typed
 //!   function calls (docking points), with snapshot materialisation;
-//! * [`DesignProblem`] — a target document schema plus a schema per
-//!   function;
-//! * [`DesignProblem::typecheck`] — typing verification via tree-automaton
-//!   inclusion of the extension language, with counterexample documents;
-//! * [`DesignProblem::verify_local`] — the string-inclusion fast path for
-//!   DTD targets, with counterexample words;
-//! * [`DesignProblem::perfect_schema`] — perfect typing (Section 6): the
-//!   most permissive function schema for which the design still
+//! * [`BoxDesignProblem`] — the engine (Section 7): a target **R-EDTD** plus
+//!   an R-EDTD per function, with typing verification by tree-automaton
+//!   inclusion of the extension language ([`BoxDesignProblem::typecheck`],
+//!   with counterexample documents), the string route over the determinised
+//!   specialised alphabet whose constant parts are kernel boxes `B(fn)`
+//!   ([`BoxDesignProblem::verify_local`]) and perfect typing
+//!   ([`BoxDesignProblem::perfect_schema`]);
+//! * [`DesignProblem`] — the DTD front end (Sections 3–6): a DTD is the
+//!   R-EDTD in which each name is its own specialisation, so the problem
+//!   holds that embedding and [`DesignProblem::typecheck`] runs on it. What
+//!   it adds is phrased in DTD terms: violations explained by the DTD's own
+//!   validation, the string walk [`DesignProblem::verify_local`] with
+//!   counterexample words, and [`DesignProblem::perfect_schema`] (Section
+//!   6), the most permissive DTD function schema for which the design still
 //!   typechecks, synthesised by residual construction with a
 //!   counterexample-driven refinement loop;
-//! * [`BoxDesignProblem`] — the box-design subsystem (Section 7): the same
-//!   three decision procedures for full **R-EDTD targets**, reduced to
-//!   string problems over the determinised specialised alphabet whose
-//!   constant parts are kernel boxes `B(fn)`;
 //! * [`validate_batch`] — a batch front end fanning one-pass streaming
 //!   SDTD validation of many documents over all cores, with per-document
 //!   panic isolation.
@@ -33,10 +36,14 @@
 //! limit, a wall-clock deadline and cooperative cancellation, surfacing
 //! [`DesignError::BudgetExceeded`] without poisoning the problem's caches.
 //!
-//! The problem-derived artefacts (determinised tree automaton, content
-//! NFAs, productive names, reduced function schemas, per-document extension
-//! automata) are computed once per problem and shared by all decision
-//! procedures — see [`design::TargetCache`] and [`boxes::BoxTargetCache`].
+//! The problem-derived artefacts are computed once and cached by what they
+//! depend on. The determinised target depends on the target schema alone:
+//! the engine builds it once and shares it across clones, so a DTD problem,
+//! its embedding and every copy with more functions use one automaton.
+//! Gap languages, extension automata and the DTD walk's
+//! [`design::TargetCache`] (content NFAs, productive names, reduced function
+//! schemas) depend on the function schemas as well and are rebuilt after
+//! `add_function`. See [`boxes::BoxTargetCache`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,5 @@
-//! Perfect typing — maximal function-schema synthesis (Section 6).
+//! Perfect typing — maximal function-schema synthesis (Section 6), for the
+//! DTD front end.
 //!
 //! [`DesignProblem::typecheck`] answers "does this design typecheck?".
 //! This module answers the question the paper is actually about: *what are
@@ -6,13 +7,14 @@
 //! target `τ` and a function `f` docking into the kernel, the **perfect
 //! schema** of `f` is the schema with the largest content models such that
 //! the design still typechecks when `f` is given that schema (the other
-//! functions keep their declared schemas).
+//! functions keep their declared schemas). The R-EDTD counterpart is
+//! [`crate::BoxDesignProblem::perfect_schema`].
 //!
 //! # Construction
 //!
-//! The synthesis runs over the target artefacts cached in
-//! [`crate::design::TargetCache`] (the determinised tree automaton, the
-//! per-element content NFAs and the productive names) and proceeds in two
+//! The synthesis reads the string-walk artefacts cached in
+//! [`crate::design::TargetCache`] (the per-element content NFAs, their
+//! memoised determinisations and the productive names) and proceeds in two
 //! interleaved phases, in the style of implicit-hitting-set abduction:
 //!
 //! 1. **Candidate construction.** Inside the forests `f` may return, target
@@ -37,10 +39,13 @@
 //!    `U`** — mixed-word combinations from `U` are what the oracle below
 //!    decides.
 //! 2. **Refute or confirm.** The candidate is submitted to the
-//!    [`DesignProblem::typecheck`] oracle. A counterexample either exposes
-//!    a violation *independent* of `f` (in which case only the empty forest
-//!    language typechecks, vacuously), or proves — by the maximality
-//!    argument above — that incomparable maximal languages exist
+//!    [`DesignProblem::typecheck`] oracle — the engine's tree route, run on
+//!    a copy of the problem that shares its determinised target. A
+//!    counterexample either exposes a violation *independent* of `f`
+//!    (found by the [`DesignProblem::verify_local`] walk with `f`'s docking
+//!    parents skipped; only the empty forest language then typechecks,
+//!    vacuously), or proves — by the maximality argument above — that
+//!    incomparable maximal languages exist
 //!    ([`DesignError::NoMaximalSchema`]: e.g. `(a,a) | (b,b)` with two `f`
 //!    docking points, where `{a}` and `{b}` are both maximal), or, when
 //!    neither explanation applies, reveals a broken invariant of the
@@ -89,12 +94,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use dxml_automata::equiv::included_with_budget as str_included_with_budget;
 use dxml_automata::{Alphabet, Budget, Nfa, RFormalism, RSpec, Symbol};
 use dxml_schema::RDtd;
 use dxml_tree::NodeId;
 
-use crate::design::{DesignProblem, ReducedFun, TargetCache, TypingVerdict};
+use crate::design::{child_language, DesignProblem, ReducedFun, TargetCache, TypingVerdict};
 use crate::doc::DistributedDoc;
 use crate::error::DesignError;
 
@@ -152,26 +156,11 @@ impl DesignProblem {
         budget: &Budget,
     ) -> Result<RDtd, DesignError> {
         let _span = dxml_telemetry::span(dxml_telemetry::SpanKind::PerfectSchema);
-        budget.check_interrupts().map_err(DesignError::from)?;
+        budget.check_interrupts()?;
         let f = function.into();
         let kernel = doc.kernel();
 
-        // The docking points of `f`, grouped by the kernel node they hang
-        // under (positions in increasing order, courtesy of the child scan).
-        let mut docking: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-        for parent in kernel.document_order() {
-            if doc.is_function(kernel.label(parent)) {
-                continue;
-            }
-            for (position, &child) in kernel.children(parent).iter().enumerate() {
-                if kernel.label(child) == &f {
-                    docking.entry(parent).or_default().push(position);
-                }
-            }
-        }
-        if !doc.is_function(&f) || docking.is_empty() {
-            return Err(DesignError::FunctionNotCalled { function: f });
-        }
+        let docking = doc.docking_points(&f)?;
 
         // Reduced schemas and forest languages of the *other* called
         // functions, straight from the problem cache (reduced once per
@@ -210,7 +199,7 @@ impl DesignProblem {
             let children = kernel.children(parent);
             let segment = |range: &[NodeId]| {
                 range.iter().fold(Nfa::epsilon(), |acc, &c| {
-                    acc.concat(&self.fixed_child_language(doc, c, &siblings))
+                    acc.concat(&child_language(kernel.label(c), &siblings))
                 })
             };
             let mut contexts: Vec<Nfa> = Vec::with_capacity(positions.len() + 1);
@@ -224,13 +213,12 @@ impl DesignProblem {
             // synthesis re-enters here once per docking parent and once per
             // synthesised function, but each content model is determinised
             // at most once per problem.
-            let content = cache.content_dfa_with_budget(label, budget).map_err(DesignError::from)?;
+            let content = cache.content_dfa_with_budget(label, budget)?;
             let residual = if positions.len() == 1 {
                 content.universal_context_residual_with_budget(&contexts[0], &contexts[1], budget)
             } else {
                 content.uniform_context_residual_with_budget(&contexts, budget)
-            }
-            .map_err(DesignError::from)?;
+            }?;
             w = w.intersect(&residual);
             if w.is_empty() {
                 break;
@@ -255,34 +243,12 @@ impl DesignProblem {
     // Candidate construction
     // ------------------------------------------------------------------
 
-    /// The language of child words a single kernel child contributes to its
-    /// parent: the declared (reduced) forest language for docking points of
-    /// other functions, the singleton of its own label for plain elements.
-    /// Callers never pass docking points of the synthesised function.
-    fn fixed_child_language(
-        &self,
-        doc: &DistributedDoc,
-        child: NodeId,
-        siblings: &BTreeMap<Symbol, &ReducedFun>,
-    ) -> Nfa {
-        let label = doc.kernel().label(child);
-        if let Some(reduced) = siblings.get(label) {
-            reduced.forest().clone()
-        } else {
-            Nfa::symbol(*label)
-        }
-    }
-
     /// Materialises the candidate forest language `w` as a schema: a fresh
     /// start symbol whose content model is `w`, plus one rule per element
     /// name reachable from `w`, carrying the target's content model of that
     /// element restricted to productive names.
     fn build_perfect(&self, w: &Nfa, cache: &TargetCache) -> RDtd {
-        let tau = self.doc_schema();
-        let mut start = String::from("result");
-        while tau.alphabet().contains(&Symbol::new(&start)) {
-            start.push('_');
-        }
+        let start = fresh_start(self.doc_schema().alphabet());
         let mut schema = RDtd::new(RFormalism::Nfa, start.as_str());
         let trimmed = w.trim();
         let mut queue: VecDeque<Symbol> = trimmed.alphabet().iter().cloned().collect();
@@ -330,7 +296,14 @@ impl DesignProblem {
         match candidate.typecheck_with_budget(doc, budget)? {
             TypingVerdict::Valid => Ok(schema),
             TypingVerdict::Invalid { counterexample, .. } => {
-                if self.violation_independent_of(doc, docking, siblings, cache, budget)? {
+                let independent = self.local_violation(
+                    doc,
+                    cache,
+                    siblings,
+                    |n| docking.contains_key(&n),
+                    budget,
+                )?;
+                if independent.is_some() {
                     let empty = self.build_perfect(&Nfa::empty(), cache);
                     let check = self.clone().with_function(*f, empty.clone());
                     match check.typecheck_with_budget(doc, budget)? {
@@ -359,78 +332,16 @@ impl DesignProblem {
             }
         }
     }
+}
 
-    /// Whether the design violates the target for a reason no schema of the
-    /// synthesised function can influence: a wrong root label, an undeclared
-    /// kernel element, a kernel node without docking-point children whose
-    /// realizable child words escape the target content model, or another
-    /// function whose forests violate the target. (The checks mirror
-    /// [`DesignProblem::verify_local`] with every constraint that depends on
-    /// the synthesised function removed.)
-    fn violation_independent_of(
-        &self,
-        doc: &DistributedDoc,
-        docking: &BTreeMap<NodeId, Vec<usize>>,
-        siblings: &BTreeMap<Symbol, &ReducedFun>,
-        cache: &TargetCache,
-        budget: &Budget,
-    ) -> Result<bool, DesignError> {
-        let kernel = doc.kernel();
-        let tau = self.doc_schema();
-        if kernel.root_label() != tau.start() {
-            return Ok(true);
-        }
-        for node in kernel.document_order() {
-            let label = kernel.label(node);
-            if doc.is_function(label) {
-                continue;
-            }
-            if !tau.alphabet().contains(label) {
-                return Ok(true);
-            }
-            if docking.contains_key(&node) {
-                continue;
-            }
-            let realizable = kernel.children(node).iter().fold(Nfa::epsilon(), |acc, &c| {
-                acc.concat(&self.fixed_child_language(doc, c, siblings))
-            });
-            let verdict = str_included_with_budget(&realizable, cache.content_nfa(label), budget)
-                .map_err(DesignError::from)?;
-            if verdict.is_err() {
-                return Ok(true);
-            }
-        }
-        // Forests of the other functions: every reachable name must be
-        // declared with a content model inside the target's.
-        for sibling in siblings.values() {
-            let reduced = sibling.schema();
-            let mut queue: VecDeque<Symbol> = sibling
-                .forest()
-                .alphabet()
-                .iter()
-                .filter(|s| reduced.alphabet().contains(s))
-                .cloned()
-                .collect();
-            let mut seen: BTreeSet<Symbol> = queue.iter().cloned().collect();
-            while let Some(name) = queue.pop_front() {
-                if !tau.alphabet().contains(&name) {
-                    return Ok(true);
-                }
-                let content = reduced.content(&name).to_nfa();
-                let verdict = str_included_with_budget(&content, cache.content_nfa(&name), budget)
-                    .map_err(DesignError::from)?;
-                if verdict.is_err() {
-                    return Ok(true);
-                }
-                for next in content.alphabet().iter() {
-                    if reduced.alphabet().contains(next) && seen.insert(*next) {
-                        queue.push_back(*next);
-                    }
-                }
-            }
-        }
-        Ok(false)
+/// A start name for a synthesised schema that collides with no name in
+/// `taken`: `result`, extended by underscores as needed.
+pub(crate) fn fresh_start(taken: &Alphabet) -> String {
+    let mut start = String::from("result");
+    while taken.contains(&Symbol::new(&start)) {
+        start.push('_');
     }
+    start
 }
 
 #[cfg(test)]

@@ -116,6 +116,29 @@ fn box_problem_trips_and_recovers() {
 }
 
 #[test]
+fn a_tripped_shared_target_build_leaves_both_clones_rebuildable() {
+    // The DTD problem and its embedding share one determinised-target cell:
+    // a trip while building it through either leaves the cell empty for
+    // both, and a retry through the other fills it for both.
+    let problem = blowup_problem(9);
+    let boxed = BoxDesignProblem::from(&problem);
+    let doc = doc();
+    assert!(matches!(
+        boxed.typecheck_with_budget(&doc, &faults::budget_tripping_after(10)),
+        Err(DesignError::BudgetExceeded { resource: Resource::Steps, .. })
+    ));
+    assert!(!problem.target_cache_ready(), "a tripped shared build must not cache");
+    assert!(!boxed.target_cache_ready(), "a tripped shared build must not cache");
+    let verdict = problem.typecheck(&doc).unwrap();
+    assert!(boxed.target_cache_ready(), "the retry fills the shared cell");
+    assert_eq!(boxed.typecheck(&doc).unwrap().is_valid(), verdict.is_valid());
+    assert!(std::ptr::eq(
+        boxed.target_cache().duta(),
+        BoxDesignProblem::from(&problem).target_cache().duta()
+    ));
+}
+
+#[test]
 fn streaming_validation_honours_every_budget_dimension() {
     let sdtd = RSdtd::parse(RFormalism::Nre, "s -> r*\nr -> r*").unwrap();
     let depth = 64usize;

@@ -45,8 +45,17 @@ fn enabled_engine_pass_lights_up_the_registry() {
     assert!(problem.verify_local(&doc).unwrap().is_valid());
     // Repeat once so the memo caches record hits, not just misses.
     assert!(problem.typecheck(&doc).unwrap().is_valid());
-    // Perfect-schema synthesis drives the residual-DFA memo.
+    // Perfect-schema synthesis drives the residual-DFA memo. On the warm
+    // problem it builds nothing: the candidate is confirmed on a copy that
+    // shares the determinised target.
+    let builds = || {
+        let s = telemetry::Snapshot::take();
+        s.counter(telemetry::Metric::TargetCacheBuilds)
+            + s.counter(telemetry::Metric::BoxTargetCacheBuilds)
+    };
+    let before = builds();
     problem.perfect_schema(&doc, "fDE").expect("synthesis succeeds");
+    assert_eq!(builds(), before, "synthesis on a warm problem must not rebuild a target cache");
 
     // Streaming layer: one well-formed document through the one-pass
     // validator, then a small batch through the parallel driver.

@@ -24,7 +24,7 @@
 
 use std::fmt::Write as _;
 
-use dxml_automata::{Regex, RFormalism, RSpec, Symbol};
+use dxml_automata::{RFormalism, RSpec, Regex, Symbol};
 use dxml_bench::{design_workload, elem};
 use dxml_core::{BoxDesignProblem, DesignProblem, DistributedDoc, TypingVerdict};
 use dxml_schema::RDtd;
@@ -47,7 +47,11 @@ fn typing(out: &mut String, verdict: Result<TypingVerdict, dxml_core::DesignErro
     .unwrap();
 }
 
-fn schema<S: std::fmt::Debug>(out: &mut String, f: &Symbol, result: Result<S, dxml_core::DesignError>) {
+fn schema<S: std::fmt::Debug>(
+    out: &mut String,
+    f: &Symbol,
+    result: Result<S, dxml_core::DesignError>,
+) {
     match result {
         Ok(s) => write!(out, "  perfect {f}: {s:?}"),
         Err(e) => writeln!(out, "  perfect {f}: error: {e}"),
@@ -57,7 +61,13 @@ fn schema<S: std::fmt::Debug>(out: &mut String, f: &Symbol, result: Result<S, dx
 
 /// Records every decision of both front ends on `(problem, doc)`;
 /// `perfect_for` picks the functions whose perfect schema is recorded.
-fn record(out: &mut String, name: &str, problem: &DesignProblem, doc: &DistributedDoc, perfect_for: &[Symbol]) {
+fn record(
+    out: &mut String,
+    name: &str,
+    problem: &DesignProblem,
+    doc: &DistributedDoc,
+    perfect_for: &[Symbol],
+) {
     writeln!(out, "== {name}").unwrap();
     writeln!(out, "dtd").unwrap();
     typing(out, problem.typecheck(doc));
@@ -100,7 +110,10 @@ fn workload_cases(out: &mut String) {
 
             let mut widened = problem.clone();
             let mut fun = problem.fun_schema(&last).unwrap().clone();
-            fun.set_rule("r", RSpec::Nre(Regex::alt(vec![Regex::sym(elem(1)), Regex::sym(elem(2))]).star()));
+            fun.set_rule(
+                "r",
+                RSpec::Nre(Regex::alt(vec![Regex::sym(elem(1)), Regex::sym(elem(2))]).star()),
+            );
             widened.add_function(last, fun);
             record(out, &format!("{tag} tweak=widen-forest"), &widened, &doc, &perfect);
 
@@ -170,7 +183,13 @@ fn eurostat_cases(out: &mut String) {
                     .with_function("fFR", b.clone());
                 let doc = DistributedDoc::parse(k, ["fDE", "fFR"]).unwrap();
                 let called: Vec<Symbol> = doc.called_functions().into_iter().collect();
-                record(out, &format!("eurostat fDE={a_name} fFR={b_name} {k}"), &problem, &doc, &called);
+                record(
+                    out,
+                    &format!("eurostat fDE={a_name} fFR={b_name} {k}"),
+                    &problem,
+                    &doc,
+                    &called,
+                );
             }
         }
     }
@@ -181,22 +200,36 @@ fn unit_cases(out: &mut String) {
     let cases: Vec<(&str, DesignProblem, DistributedDoc)> = vec![
         (
             "valid typing",
-            DesignProblem::new(dtd("s -> a, b*\nb -> c?")).with_function("f", dtd("r -> b, b\nb -> c?")),
+            DesignProblem::new(dtd("s -> a, b*\nb -> c?"))
+                .with_function("f", dtd("r -> b, b\nb -> c?")),
             DistributedDoc::parse("s(a f)", ["f"]).unwrap(),
         ),
         (
             "unknown element below a forest",
-            DesignProblem::new(dtd("s -> a, b*\nb -> c?")).with_function("f", dtd("r -> b*\nb -> d?")),
+            DesignProblem::new(dtd("s -> a, b*\nb -> c?"))
+                .with_function("f", dtd("r -> b*\nb -> d?")),
             DistributedDoc::parse("s(a f)", ["f"]).unwrap(),
         ),
-        ("wrong root", DesignProblem::new(dtd("s -> a*")), DistributedDoc::parse("t(a)", none).unwrap()),
-        ("unknown kernel element", DesignProblem::new(dtd("s -> a*")), DistributedDoc::parse("s(a x)", none).unwrap()),
+        (
+            "wrong root",
+            DesignProblem::new(dtd("s -> a*")),
+            DistributedDoc::parse("t(a)", none).unwrap(),
+        ),
+        (
+            "unknown kernel element",
+            DesignProblem::new(dtd("s -> a*")),
+            DistributedDoc::parse("s(a x)", none).unwrap(),
+        ),
         (
             "empty function language",
             DesignProblem::new(dtd("s -> a")).with_function("f", dtd("r -> r")),
             DistributedDoc::parse("s(f)", ["f"]).unwrap(),
         ),
-        ("missing schema", DesignProblem::new(dtd("s -> a")), DistributedDoc::parse("s(f)", ["f"]).unwrap()),
+        (
+            "missing schema",
+            DesignProblem::new(dtd("s -> a")),
+            DistributedDoc::parse("s(f)", ["f"]).unwrap(),
+        ),
         (
             "interleaved forest good",
             DesignProblem::new(dtd("s -> (b, c)*")).with_function("f", dtd("r -> (b, c)*")),
@@ -212,9 +245,21 @@ fn unit_cases(out: &mut String) {
             DesignProblem::new(dtd("s -> a, a")).with_function("f", dtd("r -> a")),
             DistributedDoc::parse("s(f f)", ["f"]).unwrap(),
         ),
-        ("empty target", DesignProblem::new(dtd("r -> a\na -> a")), DistributedDoc::parse("r(a)", none).unwrap()),
-        ("avoidable unproductive b", DesignProblem::new(dtd("s -> b | a\na -> a")), DistributedDoc::parse("s(b)", none).unwrap()),
-        ("avoidable unproductive a", DesignProblem::new(dtd("s -> b | a\na -> a")), DistributedDoc::parse("s(a)", none).unwrap()),
+        (
+            "empty target",
+            DesignProblem::new(dtd("r -> a\na -> a")),
+            DistributedDoc::parse("r(a)", none).unwrap(),
+        ),
+        (
+            "avoidable unproductive b",
+            DesignProblem::new(dtd("s -> b | a\na -> a")),
+            DistributedDoc::parse("s(b)", none).unwrap(),
+        ),
+        (
+            "avoidable unproductive a",
+            DesignProblem::new(dtd("s -> b | a\na -> a")),
+            DistributedDoc::parse("s(a)", none).unwrap(),
+        ),
         (
             "unproductive function branch",
             DesignProblem::new(dtd("s -> b*")).with_function("f", dtd("r -> b | a\na -> a")),
@@ -227,12 +272,14 @@ fn unit_cases(out: &mut String) {
         ),
         (
             "element named like a function",
-            DesignProblem::new(dtd("s -> f, a\nf -> a?")).with_function("f", dtd("r -> f\nf -> a?")),
+            DesignProblem::new(dtd("s -> f, a\nf -> a?"))
+                .with_function("f", dtd("r -> f\nf -> a?")),
             DistributedDoc::parse("s(f a)", ["f"]).unwrap(),
         ),
         (
             "element named like a function, bad forest",
-            DesignProblem::new(dtd("s -> f, a\nf -> a?")).with_function("f", dtd("r -> f\nf -> a, a")),
+            DesignProblem::new(dtd("s -> f, a\nf -> a?"))
+                .with_function("f", dtd("r -> f\nf -> a, a")),
             DistributedDoc::parse("s(f a)", ["f"]).unwrap(),
         ),
         (
@@ -275,7 +322,8 @@ fn unit_cases(out: &mut String) {
     let mut g = RDtd::new(RFormalism::Nre, "r");
     g.set_rule("r", RSpec::Nre(Regex::sym("#k0").star()));
     let tricky = DesignProblem::new(target.clone()).with_function("g", g);
-    let kernel = XTree::node(Symbol::new("s"), vec![XTree::leaf(fa), XTree::leaf(Symbol::new("g"))]);
+    let kernel =
+        XTree::node(Symbol::new("s"), vec![XTree::leaf(fa), XTree::leaf(Symbol::new("g"))]);
     let doc = DistributedDoc::new(kernel, ["g"]).unwrap();
     record(out, "mangled names", &tricky, &doc, &[Symbol::new("g")]);
     let mut bad_g = RDtd::new(RFormalism::Nre, "r");
@@ -298,6 +346,9 @@ fn verdicts_match_the_golden_snapshot() {
             .zip(GOLDEN.lines())
             .position(|(a, b)| a != b)
             .map_or_else(|| "at the end".to_string(), |i| format!("at line {}", i + 1));
-        panic!("verdicts differ from tests/golden/verdicts.txt {line}; actual output in {}", path.display());
+        panic!(
+            "verdicts differ from tests/golden/verdicts.txt {line}; actual output in {}",
+            path.display()
+        );
     }
 }

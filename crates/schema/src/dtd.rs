@@ -316,14 +316,7 @@ impl RDtd {
     /// Converts to an [`REdtd`] where every element name is its own (unique)
     /// specialisation.
     pub fn to_edtd(&self) -> REdtd {
-        let mut edtd = REdtd::new(self.formalism, self.start, self.start);
-        for a in &self.alphabet {
-            edtd.add_specialization(*a, *a);
-        }
-        for (a, content) in &self.rules {
-            edtd.set_rule(*a, content.clone());
-        }
-        edtd
+        REdtd::trivial(self.formalism, self.start, &self.alphabet, self.rules.clone())
     }
 
     /// Converts to an unranked tree automaton.

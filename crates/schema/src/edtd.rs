@@ -32,6 +32,18 @@ pub struct REdtd {
 }
 
 impl REdtd {
+    /// The embedding of a DTD in which every name is its own
+    /// specialisation. `alphabet` holds the start and every symbol of
+    /// `rules`, so no rule needs scanning for names.
+    pub(crate) fn trivial(
+        formalism: RFormalism,
+        start: Symbol,
+        alphabet: &Alphabet,
+        rules: BTreeMap<Symbol, RSpec>,
+    ) -> REdtd {
+        REdtd { formalism, start, mu: alphabet.iter().map(|a| (*a, *a)).collect(), rules }
+    }
+
     /// Creates an EDTD whose start is the specialised name `start` with
     /// `µ(start) = start_label`.
     pub fn new(

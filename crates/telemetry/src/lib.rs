@@ -39,12 +39,12 @@
 //! | `equiv.bfs_runs` | product-BFS searches (inclusion/equivalence oracles) |
 //! | `equiv.bfs_states` | product state pairs popped across all searches |
 //! | `equiv.bfs_transitions` | product edges traversed across all searches |
-//! | `design.target_cache_builds` | cold `TargetCache` builds (DTD targets) |
-//! | `boxes.target_cache_builds` | cold `BoxTargetCache` builds (EDTD targets) |
+//! | `design.target_cache_builds` | cold builds of the DTD string walk's `TargetCache` (content NFAs, reduced function schemas; no determinisation) |
+//! | `boxes.target_cache_builds` | cold builds in the design engine, for DTD and EDTD targets alike: each determinised target (shared by a problem's clones and its DTD front end) and each problem's per-function gap languages count one |
 //! | `cache.residual_dfa_builds` | residual-DFA memo misses (machines determinised) |
 //! | `cache.residual_dfa_hits` | residual-DFA memo hits |
-//! | `design.ext_memo_hits` | extension-automaton FIFO memo hits |
-//! | `design.ext_memo_misses` | extension-automaton FIFO memo misses (rebuilds) |
+//! | `design.ext_memo_hits` | extension-automaton FIFO memo hits (both front ends) |
+//! | `design.ext_memo_misses` | extension-automaton FIFO memo misses (rebuilds, both front ends) |
 //! | `stream.docs` | documents validated by `StreamValidator` |
 //! | `stream.events` | SAX events consumed across all streaming runs |
 //! | `stream.violations` | streaming validations that ended in a schema error |
@@ -72,8 +72,8 @@
 //! | `span.verify_local_ns` | ns | `verify_local` wall time |
 //! | `span.perfect_schema_ns` | ns | `perfect_schema` wall time |
 //! | `span.validate_stream_ns` | ns | one streaming validation wall time |
-//! | `span.target_cache_build_ns` | ns | cold DTD target-cache build wall time |
-//! | `span.box_target_cache_build_ns` | ns | cold EDTD target-cache build wall time |
+//! | `span.target_cache_build_ns` | ns | cold DTD string-walk `TargetCache` build wall time |
+//! | `span.box_target_cache_build_ns` | ns | cold engine build wall time (one determinised target, or one set of gap languages) |
 //! | `span.batch_ns` | ns | whole `validate_batch` wall time |
 //!
 //! # Span semantics

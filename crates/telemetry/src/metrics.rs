@@ -43,9 +43,10 @@ pub enum Metric {
     EquivBfsStates,
     /// Product edges traversed across all searches.
     EquivBfsTransitions,
-    /// Cold `TargetCache` builds (DTD targets).
+    /// Cold builds of the DTD string walk's `TargetCache`.
     TargetCacheBuilds,
-    /// Cold `BoxTargetCache` builds (EDTD targets).
+    /// Cold design-engine builds: a determinised target, or a problem's
+    /// per-function gap languages.
     BoxTargetCacheBuilds,
     /// Residual-DFA memo misses: machines actually determinised.
     ResidualDfaBuilds,
@@ -169,9 +170,10 @@ pub enum Hist {
     SpanPerfectSchemaNs,
     /// One streaming validation's wall time, nanoseconds.
     SpanValidateStreamNs,
-    /// Cold DTD target-cache build wall time, nanoseconds.
+    /// Cold DTD string-walk `TargetCache` build wall time, nanoseconds.
     SpanTargetCacheBuildNs,
-    /// Cold EDTD target-cache build wall time, nanoseconds.
+    /// Cold design-engine build wall time (a determinised target, or a set
+    /// of gap languages), nanoseconds.
     SpanBoxTargetCacheBuildNs,
     /// Whole `validate_batch` wall time, nanoseconds.
     SpanBatchNs,

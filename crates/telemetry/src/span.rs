@@ -25,9 +25,10 @@ pub enum SpanKind {
     PerfectSchema,
     /// One `StreamValidator` document validation.
     ValidateStream,
-    /// Cold `TargetCache` build (DTD targets).
+    /// Cold build of the DTD string walk's `TargetCache`.
     TargetCacheBuild,
-    /// Cold `BoxTargetCache` build (EDTD targets).
+    /// Cold design-engine build: a determinised target, or a problem's
+    /// per-function gap languages.
     BoxTargetCacheBuild,
     /// One whole `validate_batch` run.
     ValidateBatch,
