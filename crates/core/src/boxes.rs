@@ -20,35 +20,35 @@
 //! [`BoxDesignProblem`] packages an [`REdtd`] target with one [`REdtd`]
 //! schema per function and offers three decision procedures:
 //!
-//! * [`BoxDesignProblem::typecheck`] — the ground-truth tree-automaton
-//!   route: the extension automaton ([`BoxDesignProblem::extension_nuta`])
-//!   vs. the determinised target, with a full counterexample document on
-//!   failure;
 //! * [`BoxDesignProblem::verify_local`] — the Section-7 string route: a
 //!   single bottom-up pass over the kernel computing, per node, the set of
 //!   achievable subset states from the words-with-box-gaps language of its
 //!   children (Moore-machine image, [`Duta::outputs_over`]); sound **and**
 //!   complete because the determinised run is unique, with the offending
 //!   realizable child word reported as a box;
+//! * [`BoxDesignProblem::typecheck`] — decides on the same string route,
+//!   and only when it finds a violation runs the tree route — the extension
+//!   automaton ([`BoxDesignProblem::extension_nuta`]) included in the
+//!   determinised target — to build a full counterexample document;
 //! * [`BoxDesignProblem::perfect_schema`] — perfect typing for EDTD
 //!   targets: the admissible gap language is propagated top-down along the
 //!   spine from the root to the docking parent by universal context
 //!   residuals over the per-label Moore machines, and the resulting maximal
 //!   schema is itself an [`REdtd`] (one specialised name per inhabited
 //!   `(label, subset state)` pair) — which a DTD could not express. The
-//!   candidate is confirmed by the [`BoxDesignProblem::typecheck`] oracle in
-//!   the refute-and-refine style of [`crate::perfect`].
+//!   candidate is confirmed on the tree route directly, in the
+//!   refute-and-refine style of [`crate::perfect`], so that a synthesis
+//!   does not build the candidate's gap languages.
 //!
 //! The artefacts are cached by what they depend on. The determinised target
 //! (with its accepting set and Moore-machine DFA memo) depends only on the
 //! target schema: it is built once and shared by `Arc` across clones, so a
 //! problem, its copies with more functions and the DTD front end over the
 //! same schema all reuse one automaton. The per-function gap languages are
-//! built on the first [`BoxDesignProblem::verify_local`] or
-//! [`BoxDesignProblem::perfect_schema`] and dropped by
-//! [`BoxDesignProblem::add_function`]; `typecheck` never builds them. The
-//! extension automata are memoised per document in a FIFO that clones share
-//! until one of them is mutated.
+//! built on the first decision (the synthesis confirmation aside) and
+//! dropped by [`BoxDesignProblem::add_function`]. The extension automata
+//! are built only by the tree route and memoised per document in a FIFO
+//! that clones share until one of them is mutated.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -761,37 +761,46 @@ impl BoxDesignProblem {
     }
 
     /// Decides whether every extension of `doc` validates against the EDTD
-    /// target, via tree-language inclusion of the extension automaton in
-    /// the determinised specialised target. On failure the verdict carries
-    /// a full counterexample document and the typing failure it triggers
-    /// ([`REdtd::validate`]).
+    /// target. The decision is the exact string walk of
+    /// [`BoxDesignProblem::verify_local`]; only when it finds a violation
+    /// does the tree route run — inclusion of the extension automaton in
+    /// the determinised specialised target — to build a full
+    /// counterexample document and the typing failure it triggers
+    /// ([`REdtd::validate`]). A valid design therefore never builds an
+    /// extension automaton.
     pub fn typecheck(&self, doc: &DistributedDoc) -> Result<TypingVerdict, DesignError> {
         self.typecheck_with_budget(doc, &Budget::unlimited())
     }
 
-    /// Governed variant of [`BoxDesignProblem::typecheck`]: the
-    /// determinisation of the target (on a cold cache), the extension
-    /// determinisation and the product walk all charge `budget`, and a trip
-    /// surfaces as [`DesignError::BudgetExceeded`] without poisoning the
-    /// problem's caches.
+    /// Governed variant of [`BoxDesignProblem::typecheck`]: the cache
+    /// builds (on a cold problem), the string walk and, on a violation, the
+    /// extension determinisation and the product walk all charge `budget`,
+    /// and a trip surfaces as [`DesignError::BudgetExceeded`] without
+    /// poisoning the problem's caches.
     pub fn typecheck_with_budget(
         &self,
         doc: &DistributedDoc,
         budget: &Budget,
     ) -> Result<TypingVerdict, DesignError> {
-        self.typecheck_validated(doc, budget, |t| self.doc_schema.validate(t))
+        let _span = telemetry::span(telemetry::SpanKind::Typecheck);
+        if self.string_walk(doc, budget)?.is_valid() {
+            return Ok(TypingVerdict::Valid);
+        }
+        self.tree_typecheck(doc, budget, |t| self.doc_schema.validate(t))
     }
 
     /// The tree route of every front end: inclusion of the extension
     /// automaton in the determinised target. A counterexample is explained
     /// by `validate`, the front end's own validation against its target.
-    pub(crate) fn typecheck_validated(
+    /// Unspanned: [`BoxDesignProblem::typecheck`] runs it after a violating
+    /// string walk, and the perfect-typing syntheses run it directly as
+    /// their confirming oracle.
+    pub(crate) fn tree_typecheck(
         &self,
         doc: &DistributedDoc,
         budget: &Budget,
         validate: impl FnOnce(&XTree) -> Result<(), SchemaError>,
     ) -> Result<TypingVerdict, DesignError> {
-        let _span = telemetry::span(telemetry::SpanKind::Typecheck);
         budget.check_interrupts()?;
         let ext = self.extension_nuta(doc)?;
         let target = self.shared_target(budget)?;
@@ -838,6 +847,17 @@ impl BoxDesignProblem {
         budget: &Budget,
     ) -> Result<BoxVerdict, DesignError> {
         let _span = telemetry::span(telemetry::SpanKind::VerifyLocal);
+        self.string_walk(doc, budget)
+    }
+
+    /// The walk behind [`BoxDesignProblem::verify_local`] and
+    /// [`BoxDesignProblem::typecheck`], unspanned so that each entry point
+    /// records only its own span.
+    fn string_walk(
+        &self,
+        doc: &DistributedDoc,
+        budget: &Budget,
+    ) -> Result<BoxVerdict, DesignError> {
         budget.check_interrupts()?;
         doc.require_schemas(&self.fun_schemas)?;
         let BoxTargetCache { target, funs } = self.target_cache_with_budget(budget)?;
@@ -919,7 +939,7 @@ impl BoxDesignProblem {
     /// [`Nfa::uniform_context_residual`]) is the gap language. The schema
     /// materialises it with one specialised name per inhabited
     /// `(label, subset state)` pair — maximal per construction, confirmed
-    /// by the [`BoxDesignProblem::typecheck`] oracle.
+    /// by the tree route of [`BoxDesignProblem::typecheck`].
     ///
     /// # Errors
     ///
@@ -1082,8 +1102,14 @@ impl BoxDesignProblem {
         let gap = if forced_empty { Nfa::empty() } else { gap };
 
         let schema = build_perfect(&gap, duta);
+        // The oracle is the tree route alone: a string walk would build the
+        // candidate's gap languages on every synthesis.
         let candidate = self.clone().with_function(f, schema.clone());
-        match candidate.typecheck_with_budget(doc, budget)? {
+        let verdict = {
+            let _span = telemetry::span(telemetry::SpanKind::Typecheck);
+            candidate.tree_typecheck(doc, budget, |t| candidate.doc_schema.validate(t))?
+        };
+        match verdict {
             TypingVerdict::Valid => Ok(schema),
             TypingVerdict::Invalid { counterexample, .. } => {
                 if positions.len() > 1 {

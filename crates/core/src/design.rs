@@ -12,16 +12,17 @@
 //! tree route runs there once for both front ends. What stays here is what
 //! is phrased in DTD terms:
 //!
-//! * [`DesignProblem::typecheck`] — the engine's tree-automaton route
-//!   ([`BoxDesignProblem::typecheck`]); its counterexample document is
-//!   explained by [`RDtd::validate`], so the violation names the DTD's
-//!   content models.
 //! * [`DesignProblem::verify_local`] — the DTD string walk: since DTD
 //!   validation is per-node-local, the extension language is included in
 //!   `[τ]` iff a family of *string*-language inclusions holds, each decided
 //!   by [`dxml_automata::equiv::included`] with a counterexample word. The
 //!   same walk, with the synthesised function's docking parents skipped,
 //!   explains refuted candidates in [`crate::perfect`].
+//! * [`DesignProblem::typecheck`] — decides on the same walk, and only when
+//!   it finds a violation runs the engine's tree route (extension automaton
+//!   included in the determinised target) to build a counterexample
+//!   document. That document is explained by [`RDtd::validate`], so the
+//!   violation names the DTD's content models.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -553,28 +554,52 @@ impl DesignProblem {
     // ------------------------------------------------------------------
 
     /// Decides whether every extension of `doc` validates against
-    /// [`DesignProblem::doc_schema`], via tree-language inclusion of the
-    /// extension automaton in the target automaton. On failure the verdict
-    /// carries a full counterexample document and the validation error it
-    /// triggers.
+    /// [`DesignProblem::doc_schema`]. The decision is the exact DTD string
+    /// walk of [`DesignProblem::verify_local`]; only when it finds a
+    /// violation does the tree route run — inclusion of the extension
+    /// automaton in the determinised target — to build a full
+    /// counterexample document and the validation error it triggers. A
+    /// valid design therefore never builds an extension automaton.
     ///
-    /// The target automaton is determinised once per target schema and
-    /// shared (see [`DesignProblem::target_cache`]); repeated calls only pay
-    /// for the extension side.
+    /// The target is compiled once per target schema and shared (see
+    /// [`DesignProblem::target_cache`]); repeated calls only pay for the
+    /// walk, and for the extension side when the design is invalid.
     pub fn typecheck(&self, doc: &DistributedDoc) -> Result<TypingVerdict, DesignError> {
         self.typecheck_with_budget(doc, &Budget::unlimited())
     }
 
     /// Governed variant of [`DesignProblem::typecheck`]: the target
-    /// determinisation (on a cold cache), the extension-side determinisation
-    /// and the product walk all charge `budget`; a trip surfaces as
+    /// compilation (on a cold cache), every string inclusion of the walk
+    /// and, on a violation, the extension-side determinisation and the
+    /// product walk all charge `budget`; a trip surfaces as
     /// [`DesignError::BudgetExceeded`] and leaves every cache rebuildable.
+    ///
+    /// # Panics
+    ///
+    /// Only on a broken internal invariant, as for
+    /// [`DesignProblem::verify_local_with_budget`].
     pub fn typecheck_with_budget(
         &self,
         doc: &DistributedDoc,
         budget: &Budget,
     ) -> Result<TypingVerdict, DesignError> {
-        self.engine().typecheck_validated(doc, budget, |t| self.doc_schema.validate(t))
+        let _span = telemetry::span(telemetry::SpanKind::Typecheck);
+        if self.string_walk(doc, budget)?.is_valid() {
+            return Ok(TypingVerdict::Valid);
+        }
+        self.engine().tree_typecheck(doc, budget, |t| self.doc_schema.validate(t))
+    }
+
+    /// The tree route alone, recorded as a typecheck: the confirming oracle
+    /// of [`crate::perfect`]. A string walk there would rebuild the
+    /// candidate's [`TargetCache`] on every synthesis.
+    pub(crate) fn tree_typecheck(
+        &self,
+        doc: &DistributedDoc,
+        budget: &Budget,
+    ) -> Result<TypingVerdict, DesignError> {
+        let _span = telemetry::span(telemetry::SpanKind::Typecheck);
+        self.engine().tree_typecheck(doc, budget, |t| self.doc_schema.validate(t))
     }
 
     /// The DTD string walk: local typing verification by string-language
@@ -611,6 +636,17 @@ impl DesignProblem {
         budget: &Budget,
     ) -> Result<LocalVerdict, DesignError> {
         let _span = telemetry::span(telemetry::SpanKind::VerifyLocal);
+        self.string_walk(doc, budget)
+    }
+
+    /// The walk behind [`DesignProblem::verify_local`] and
+    /// [`DesignProblem::typecheck`], unspanned so that each entry point
+    /// records only its own span.
+    fn string_walk(
+        &self,
+        doc: &DistributedDoc,
+        budget: &Budget,
+    ) -> Result<LocalVerdict, DesignError> {
         budget.check_interrupts()?;
         doc.require_schemas(&self.fun_schemas)?;
         let cache = self.target_cache_with_budget(budget)?;

@@ -9,24 +9,30 @@
 //! * [`DistributedDoc`] — a kernel document whose leaves may be typed
 //!   function calls (docking points), with snapshot materialisation;
 //! * [`BoxDesignProblem`] — the engine (Section 7): a target **R-EDTD** plus
-//!   an R-EDTD per function, with typing verification by tree-automaton
-//!   inclusion of the extension language ([`BoxDesignProblem::typecheck`],
-//!   with counterexample documents), the string route over the determinised
-//!   specialised alphabet whose constant parts are kernel boxes `B(fn)`
-//!   ([`BoxDesignProblem::verify_local`]) and perfect typing
-//!   ([`BoxDesignProblem::perfect_schema`]);
+//!   an R-EDTD per function, with the exact string route over the
+//!   determinised specialised alphabet whose constant parts are kernel boxes
+//!   `B(fn)` ([`BoxDesignProblem::verify_local`]), the tree route —
+//!   tree-automaton inclusion of the extension language — and perfect
+//!   typing ([`BoxDesignProblem::perfect_schema`]);
 //! * [`DesignProblem`] — the DTD front end (Sections 3–6): a DTD is the
 //!   R-EDTD in which each name is its own specialisation, so the problem
-//!   holds that embedding and [`DesignProblem::typecheck`] runs on it. What
-//!   it adds is phrased in DTD terms: violations explained by the DTD's own
-//!   validation, the string walk [`DesignProblem::verify_local`] with
-//!   counterexample words, and [`DesignProblem::perfect_schema`] (Section
-//!   6), the most permissive DTD function schema for which the design still
-//!   typechecks, synthesised by residual construction with a
-//!   counterexample-driven refinement loop;
+//!   holds that embedding and runs the tree route on it. What it adds is
+//!   phrased in DTD terms: the per-node string walk
+//!   [`DesignProblem::verify_local`] with counterexample words, violations
+//!   explained by the DTD's own validation, and
+//!   [`DesignProblem::perfect_schema`] (Section 6), the most permissive DTD
+//!   function schema for which the design still typechecks, synthesised by
+//!   residual construction with a counterexample-driven refinement loop;
 //! * [`validate_batch`] — a batch front end fanning one-pass streaming
 //!   SDTD validation of many documents over all cores, with per-document
 //!   panic isolation.
+//!
+//! On both front ends `typecheck` decides on its string route and runs the
+//! tree route only when the walk finds a violation, to build the
+//! counterexample document ([`DesignProblem::typecheck`],
+//! [`BoxDesignProblem::typecheck`]). A valid design therefore never builds an
+//! extension automaton. The perfect-typing syntheses confirm their
+//! candidates on the tree route directly.
 //!
 //! Every decision procedure has a governed `*_with_budget` variant
 //! ([`DesignProblem::typecheck_with_budget`],

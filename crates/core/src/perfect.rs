@@ -1,7 +1,9 @@
 //! Perfect typing — maximal function-schema synthesis (Section 6), for the
 //! DTD front end.
 //!
-//! [`DesignProblem::typecheck`] answers "does this design typecheck?".
+//! [`DesignProblem::typecheck`] answers "does this design typecheck?" — on
+//! the exact DTD string walk, with the tree route run only to build a
+//! counterexample.
 //! This module answers the question the paper is actually about: *what are
 //! the most permissive function schemas for which it would?* For a DTD
 //! target `τ` and a function `f` docking into the kernel, the **perfect
@@ -38,9 +40,11 @@
 //!    maximal schema exists iff `U` itself is valid, and is then exactly
 //!    `U`** — mixed-word combinations from `U` are what the oracle below
 //!    decides.
-//! 2. **Refute or confirm.** The candidate is submitted to the
-//!    [`DesignProblem::typecheck`] oracle — the engine's tree route, run on
-//!    a copy of the problem that shares its determinised target. A
+//! 2. **Refute or confirm.** The candidate is submitted to the typecheck
+//!    oracle — the engine's tree route alone, run on a copy of the problem
+//!    that shares its determinised target. (The string walk that
+//!    [`DesignProblem::typecheck`] decides with would rebuild the copy's
+//!    [`crate::design::TargetCache`] on every synthesis.) A
 //!    counterexample either exposes a violation *independent* of `f`
 //!    (found by the [`DesignProblem::verify_local`] walk with `f`'s docking
 //!    parents skipped; only the empty forest language then typechecks,
@@ -293,7 +297,7 @@ impl DesignProblem {
     ) -> Result<RDtd, DesignError> {
         let schema = self.build_perfect(w, cache);
         let candidate = self.clone().with_function(*f, schema.clone());
-        match candidate.typecheck_with_budget(doc, budget)? {
+        match candidate.tree_typecheck(doc, budget)? {
             TypingVerdict::Valid => Ok(schema),
             TypingVerdict::Invalid { counterexample, .. } => {
                 let independent = self.local_violation(
@@ -306,7 +310,7 @@ impl DesignProblem {
                 if independent.is_some() {
                     let empty = self.build_perfect(&Nfa::empty(), cache);
                     let check = self.clone().with_function(*f, empty.clone());
-                    match check.typecheck_with_budget(doc, budget)? {
+                    match check.tree_typecheck(doc, budget)? {
                         TypingVerdict::Valid => Ok(empty),
                         TypingVerdict::Invalid { counterexample, .. } => {
                             Err(DesignError::InvariantViolation {

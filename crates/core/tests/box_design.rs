@@ -6,8 +6,10 @@
 //!    box width ≤ 3) and *finite* (star-free, acyclic) function schemas,
 //!    every instantiation of the docking point can be enumerated and
 //!    materialised; the design typechecks iff every materialisation
-//!    validates against the EDTD target. Both `typecheck` and
-//!    `verify_local` must agree with that ground truth.
+//!    validates against the EDTD target. `typecheck`, `verify_local` and
+//!    the tree route (extension automaton included in the determinised
+//!    target, which `typecheck` runs only on invalid designs) must agree
+//!    with that ground truth.
 //! 2. **DTD embedding.** A DTD target embedded as a trivial EDTD must
 //!    reproduce the verdicts of the existing `DesignProblem` on the same
 //!    documents.
@@ -18,6 +20,7 @@ use dxml_automata::{RFormalism, Regex, RSpec, Symbol};
 use dxml_core::{BoxDesignProblem, DesignProblem, DistributedDoc};
 use dxml_schema::{RDtd, REdtd};
 use dxml_tree::generate::SplitRng;
+use dxml_tree::uta::included_in_duta;
 use dxml_tree::{XForest, XTree};
 
 /// All trees derivable from a specialised name of a *star-free, acyclic*
@@ -153,6 +156,14 @@ fn random_kernel(rng: &mut SplitRng) -> DistributedDoc {
     DistributedDoc::new(kernel, ["f"]).expect("kernel invariants hold")
 }
 
+/// The tree route alone: inclusion of the extension automaton in the
+/// determinised target. `typecheck` runs it only on invalid designs, so the
+/// suites below check it directly.
+fn tree_route_valid(problem: &BoxDesignProblem, doc: &DistributedDoc) -> bool {
+    let ext = problem.extension_nuta(doc).expect("extension automaton builds");
+    included_in_duta(&ext, problem.target_cache().duta()).is_ok()
+}
+
 #[test]
 fn box_typecheck_agrees_with_brute_force_enumeration() {
     let mut rng = SplitRng::new(0xB0C5);
@@ -177,6 +188,15 @@ fn box_typecheck_agrees_with_brute_force_enumeration() {
         let problem = BoxDesignProblem::new(target).with_function("f", schema);
         let global = problem.typecheck(&doc).expect("typecheck runs");
         let local = problem.verify_local(&doc).expect("verify_local runs");
+        let tree = tree_route_valid(&problem, &doc);
+        assert_eq!(
+            tree,
+            brute,
+            "case {case}: the tree route disagrees with enumeration on {doc:?} \
+             against {:?}",
+            problem.doc_schema()
+        );
+        assert_eq!(tree, global.is_valid(), "case {case}: the tree route disagrees with typecheck");
         assert_eq!(
             global.is_valid(),
             brute,
@@ -232,6 +252,14 @@ fn dtd_targets_embedded_as_edtds_agree_with_design_problem() {
         let box_problem = BoxDesignProblem::from(&dtd_problem);
 
         let dtd_verdict = dtd_problem.typecheck(&doc).expect("DTD typecheck runs").is_valid();
+        let ext = dtd_problem.extension_nuta(&doc).expect("extension automaton builds");
+        assert_eq!(
+            included_in_duta(&ext, BoxDesignProblem::from(&dtd_problem).target_cache().duta())
+                .is_ok(),
+            dtd_verdict,
+            "the tree route disagrees with the DTD typecheck on {doc:?} against {:?}",
+            dtd_problem.doc_schema()
+        );
         assert_eq!(
             dtd_problem.verify_local(&doc).expect("DTD verify_local runs").is_valid(),
             dtd_verdict

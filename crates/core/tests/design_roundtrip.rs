@@ -6,9 +6,12 @@
 use std::collections::BTreeMap;
 
 use dxml_automata::{RFormalism, Symbol};
-use dxml_core::{DesignProblem, DistributedDoc, LocalVerdict, LocalViolation, TypingVerdict};
+use dxml_core::{
+    BoxDesignProblem, DesignProblem, DistributedDoc, LocalVerdict, LocalViolation, TypingVerdict,
+};
 use dxml_schema::{RDtd, SchemaError};
 use dxml_tree::term::{parse_forest, parse_term};
+use dxml_tree::uta::included_in_duta;
 
 /// The Eurostat NCPI global type τ of Figure 3, in the W3C syntax, with
 /// deterministic (dRE) content models as the standard requires.
@@ -156,6 +159,15 @@ fn typecheck_and_local_check_agree_on_a_battery() {
                 let global = problem.typecheck(&doc).unwrap().is_valid();
                 let local = problem.verify_local(&doc).unwrap().is_valid();
                 assert_eq!(global, local, "disagreement for offices ({i},{j}) kernel {k}");
+                // `typecheck` runs the tree route only on invalid designs;
+                // check it directly on every one.
+                let ext = problem.extension_nuta(&doc).unwrap();
+                let boxed = BoxDesignProblem::from(&problem);
+                assert_eq!(
+                    included_in_duta(&ext, boxed.target_cache().duta()).is_ok(),
+                    global,
+                    "the tree route disagrees for offices ({i},{j}) kernel {k}"
+                );
             }
         }
     }

@@ -45,6 +45,22 @@ fn enabled_engine_pass_lights_up_the_registry() {
     assert!(problem.verify_local(&doc).unwrap().is_valid());
     // Repeat once so the memo caches record hits, not just misses.
     assert!(problem.typecheck(&doc).unwrap().is_valid());
+    // A valid typecheck records exactly one span, its own: the string walk
+    // it decides with runs unspanned, so no verify_local span appears.
+    let spans = || {
+        let s = telemetry::Snapshot::take();
+        (
+            s.histogram(telemetry::Hist::SpanTypecheckNs).count,
+            s.histogram(telemetry::Hist::SpanVerifyLocalNs).count,
+        )
+    };
+    let (typechecks, local_checks) = spans();
+    assert!(problem.typecheck(&doc).unwrap().is_valid());
+    assert_eq!(
+        spans(),
+        (typechecks + 1, local_checks),
+        "one valid typecheck must add one typecheck span and no verify_local span"
+    );
     // Perfect-schema synthesis drives the residual-DFA memo. On the warm
     // problem it builds nothing: the candidate is confirmed on a copy that
     // shares the determinised target.
