@@ -147,7 +147,7 @@ impl fmt::Display for Bounds {
 
 /// `2^m − 1` with saturation: the number of non-empty subsets of `m` NFA
 /// states, i.e. the hard ceiling of the subset construction.
-pub fn pow2_minus1(m: usize) -> u64 {
+fn pow2_minus1(m: usize) -> u64 {
     if m >= 64 {
         u64::MAX
     } else {

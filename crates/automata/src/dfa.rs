@@ -323,7 +323,7 @@ impl Dfa {
     }
 
     /// Restricts to states reachable from the start state.
-    pub fn trim_reachable(&self) -> Dfa {
+    fn trim_reachable(&self) -> Dfa {
         let mut seen = StateSet::singleton(self.num_states, self.start);
         let mut stack = vec![self.start];
         while let Some(q) = stack.pop() {
@@ -424,60 +424,6 @@ impl Dfa {
         }
         out
     }
-
-    /// Product automaton where acceptance is decided by `accept(f1, f2)`
-    /// applied to the two component acceptance flags (so `&&` gives the
-    /// intersection, `||` the union, `and not` the difference). Both DFAs are
-    /// completed over the union of the alphabets first.
-    ///
-    /// # Panics
-    ///
-    /// Only on a broken internal invariant (a completed DFA missing a
-    /// symbol of the union alphabet).
-    pub fn product(&self, other: &Dfa, accept: impl Fn(bool, bool) -> bool) -> Dfa {
-        let alphabet = self.alphabet().union(&other.alphabet());
-        let a = self.complete(&alphabet);
-        let b = other.complete(&alphabet);
-        // Both components are total over `alphabet` after completion, so
-        // every symbol resolves in both.
-        let syms: Vec<(Symbol, u32, u32)> = alphabet
-            .iter()
-            .map(|&s| {
-                (
-                    s,
-                    a.sym_id(&s).expect("completed over alphabet"),
-                    b.sym_id(&s).expect("completed over alphabet"),
-                )
-            })
-            .collect();
-        let mut index: FxHashMap<(StateId, StateId), StateId> = FxHashMap::default();
-        let mut out = Dfa::new(1, 0);
-        index.insert((a.start, b.start), 0);
-        let mut queue = VecDeque::from([(a.start, b.start)]);
-        while let Some((p, q)) = queue.pop_front() {
-            let id = index[&(p, q)];
-            if accept(a.is_final(p), b.is_final(q)) {
-                out.set_final(id);
-            }
-            for &(sym, sa, sb) in &syms {
-                let (tp, tq) = match (a.delta_local(p, sa), b.delta_local(q, sb)) {
-                    (Some(tp), Some(tq)) => (tp, tq),
-                    _ => continue,
-                };
-                let tid = match index.get(&(tp, tq)) {
-                    Some(&i) => i,
-                    None => {
-                        let i = out.add_state();
-                        index.insert((tp, tq), i);
-                        queue.push_back((tp, tq));
-                        i
-                    }
-                };
-                out.set_transition(id, sym, tid);
-            }
-        }
-        out
-    }
 }
 
 impl PartialEq for Dfa {
@@ -564,20 +510,6 @@ mod tests {
         assert!(comp.accepts(&word_chars("b")));
         assert!(comp.accepts(&word_chars("ab")));
         assert!(!comp.accepts(&word_chars("aaa")));
-    }
-
-    #[test]
-    fn product_intersection_and_union() {
-        let astar_b = Dfa::from_nfa(&Nfa::symbol("a").star().concat(&Nfa::symbol("b")));
-        let a_bstar = Dfa::from_nfa(&Nfa::symbol("a").concat(&Nfa::symbol("b").star()));
-        let inter = astar_b.product(&a_bstar, |x, y| x && y);
-        assert!(inter.accepts(&word_chars("ab")));
-        assert!(!inter.accepts(&word_chars("aab")));
-        assert!(!inter.accepts(&word_chars("abb")));
-        let union = astar_b.product(&a_bstar, |x, y| x || y);
-        assert!(union.accepts(&word_chars("aab")));
-        assert!(union.accepts(&word_chars("abb")));
-        assert!(!union.accepts(&word_chars("ba")));
     }
 
     #[test]

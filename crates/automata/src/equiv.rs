@@ -111,20 +111,6 @@ pub fn is_equivalent(a: &Nfa, b: &Nfa) -> bool {
     equivalent(a, b).is_ok()
 }
 
-/// Checks `[a] ∩ [b] = ∅`; on failure returns a shortest common word.
-pub fn disjoint(a: &Nfa, b: &Nfa) -> Result<(), Word> {
-    match a.intersect(b).shortest_accepted() {
-        None => Ok(()),
-        Some(w) => Err(w),
-    }
-}
-
-/// `concat-univ[R]` (Definition 16): is `[a] ◦ [b] = Σ*` over the given
-/// alphabet?
-pub fn concat_universal(a: &Nfa, b: &Nfa, alphabet: &Alphabet) -> bool {
-    a.concat(b).is_universal(alphabet)
-}
-
 /// Back-pointers of the product BFS: state pair → (predecessor pair, symbol).
 type ParentMap = FxHashMap<(usize, usize), ((usize, usize), Symbol)>;
 
@@ -236,18 +222,18 @@ mod tests {
 
     #[test]
     fn disjointness() {
-        assert!(disjoint(&re("a+"), &re("b+")).is_ok());
-        let w = disjoint(&re("a*b"), &re("ab*")).unwrap_err();
-        assert_eq!(w, word_chars("ab"));
+        assert_eq!(re("a+").intersect(&re("b+")).shortest_accepted(), None);
+        let w = re("a*b").intersect(&re("ab*")).shortest_accepted();
+        assert_eq!(w, Some(word_chars("ab")));
     }
 
     #[test]
     fn concat_universality() {
         let sigma = Alphabet::from_chars("ab");
         // (a|b)* ◦ (a|b)* = Σ*
-        assert!(concat_universal(&re("(a|b)*"), &re("(a|b)*"), &sigma));
+        assert!(re("(a|b)*").concat(&re("(a|b)*")).is_universal(&sigma));
         // a* ◦ b* ≠ Σ* (misses "ba")
-        assert!(!concat_universal(&re("a*"), &re("b*"), &sigma));
+        assert!(!re("a*").concat(&re("b*")).is_universal(&sigma));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! * [`Symbol`] / [`Alphabet`] — interned element names and function symbols;
 //! * [`Nfa`] — nondeterministic finite automata with ε-transitions, together
-//!   with the boolean/rational operations the paper uses (`·`, `∪`, `∩`, `−`,
+//!   with the boolean/rational operations the paper uses (`·`, `∪`, `∩`,
 //!   complement) and decision procedures (emptiness, universality, membership,
 //!   inclusion, equivalence);
 //! * [`Dfa`] — deterministic automata, subset construction, minimisation;
@@ -16,11 +16,13 @@
 //!   Brüggemann-Klein/Wood determinism test on expressions and the
 //!   orbit-property decision procedure on minimal DFAs (`one-unamb[R]`,
 //!   Definition 2 of the paper);
-//! * [`quotient`] — existential quotients and the universal two-sided
-//!   residual of regular languages, the string-level building block of the
-//!   perfect-typing construction of Section 6;
-//! * [`BoxLang`] — "boxes" `Σ1…Σn` (cartesian-product languages), used by the
-//!   box versions of the design problems in Section 7;
+//! * [`quotient`] — the universal and uniform context residuals of a
+//!   determinised content model, the string-level building blocks of the
+//!   perfect-typing constructions of Sections 6 and 7;
+//! * [`BoxLang`] — "boxes" `Σ1…Σn` (cartesian-product languages), the kernel
+//!   boxes of the Section-7 design problems, and the slot substitution
+//!   [`Nfa::expand_symbols`] that turns a content model over element names
+//!   into one over specialised names;
 //! * [`RSpec`] — a content model in any of the four formalisms
 //!   (`nFA`, `dFA`, `nRE`, `dRE`) behind a uniform API, mirroring the paper's
 //!   parameter `R`;

@@ -208,11 +208,6 @@ impl Budget {
         Budget { inner: None }
     }
 
-    /// Whether this is the unlimited budget (no governance state attached).
-    pub fn is_unlimited(&self) -> bool {
-        self.inner.is_none()
-    }
-
     fn governed(&mut self) -> &mut Inner {
         let arc = self.inner.get_or_insert_with(Arc::default);
         Arc::get_mut(arc).expect("budget builders must run before the handle is cloned")
@@ -337,19 +332,9 @@ impl Budget {
         self.inner.as_ref().and_then(|i| i.depth_limit)
     }
 
-    /// Steps counted so far across every clone of this budget.
-    pub fn steps_spent(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.steps.load(Ordering::Relaxed))
-    }
-
     /// States counted so far across every clone of this budget.
     pub fn states_spent(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.states.load(Ordering::Relaxed))
-    }
-
-    /// Nodes counted so far across every clone of this budget.
-    pub fn nodes_spent(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.nodes.load(Ordering::Relaxed))
     }
 }
 
@@ -365,11 +350,6 @@ impl CancelHandle {
     /// Raises the cancellation flag (idempotent).
     pub fn cancel(&self) {
         self.inner.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the flag has been raised.
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::Relaxed)
     }
 }
 
@@ -460,7 +440,6 @@ mod tests {
     #[test]
     fn unlimited_budget_never_trips() {
         let b = Budget::unlimited();
-        assert!(b.is_unlimited());
         for _ in 0..10_000 {
             b.step().unwrap();
         }
@@ -468,7 +447,7 @@ mod tests {
         b.grow_nodes(u64::MAX).unwrap();
         b.check_depth(usize::MAX).unwrap();
         b.check_interrupts().unwrap();
-        assert_eq!(b.steps_spent(), 0, "unlimited budgets hold no counters");
+        assert_eq!(b.states_spent(), 0, "unlimited budgets hold no counters");
         assert_eq!(b.depth_limit(), None);
     }
 
@@ -511,8 +490,10 @@ mod tests {
         a.step().unwrap();
         b.step().unwrap();
         b.step().unwrap();
-        assert_eq!(a.steps_spent(), 4);
-        assert!(b.step().is_err(), "the pool is shared, not per-clone");
+        assert!(
+            matches!(b.step(), Err(AutomataError::BudgetExceeded { spent: 5, .. })),
+            "the pool is shared, not per-clone"
+        );
     }
 
     #[test]
@@ -525,9 +506,7 @@ mod tests {
 
         let (budget, handle) = Budget::unlimited().cancellable();
         budget.check_interrupts().unwrap();
-        assert!(!handle.is_cancelled());
         handle.cancel();
-        assert!(handle.is_cancelled());
         assert!(matches!(
             budget.check_interrupts(),
             Err(AutomataError::BudgetExceeded { resource: Resource::Cancelled, .. })

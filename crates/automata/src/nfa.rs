@@ -3,12 +3,11 @@
 //! This follows Section 2.1.2 of the paper: an nFA is a quintuple
 //! `⟨K, Σ, Δ, qs, F⟩` with `Δ ⊆ K × (Σ ∪ {ε}) × K`. States are dense
 //! integers `0..num_states`. The module provides the combinators the paper
-//! relies on (`A1 · A2`, `A1 ∪ A2`, `A1 ∩ A2`, `A1 − A2`, complement) and the
-//! basic decision procedures (membership, emptiness, universality). The
-//! state-set reachability helpers (`delta_star_from`, `reachable_from`,
-//! `coreachable_to`, `transitions`) are exposed publicly because the perfect
-//! automaton construction of Section 6 manipulates the transition structure
-//! of the global type directly.
+//! relies on (`A1 · A2`, `A1 ∪ A2`, `A1 ∩ A2`, complement) and the basic
+//! decision procedures (membership, emptiness, universality). The
+//! transition structure (`transitions`, `coreachable_to`) is exposed
+//! publicly because the perfect automaton construction of Section 6
+//! manipulates the transition structure of the global type directly.
 //!
 //! # Dense transition storage
 //!
@@ -180,11 +179,6 @@ impl Nfa {
         a
     }
 
-    /// The automaton recognising `Σ+` for the given alphabet.
-    pub fn sigma_plus(alphabet: &Alphabet) -> Self {
-        Nfa::sigma_star(alphabet).concat(&Nfa::any_of(alphabet.iter().cloned()))
-    }
-
     /// Adds a fresh state and returns its id.
     pub fn add_state(&mut self) -> StateId {
         self.trans.push(Vec::new());
@@ -245,17 +239,12 @@ impl Nfa {
         self.finals.insert(state);
     }
 
-    /// Unmarks a state as final.
-    pub fn unset_final(&mut self, state: StateId) {
-        self.finals.remove(&state);
-    }
-
     /// Changes the start state.
     ///
     /// # Panics
     ///
     /// Panics if `state` is not a state of the automaton.
-    pub fn set_start(&mut self, state: StateId) {
+    fn set_start(&mut self, state: StateId) {
         assert!(state < self.num_states);
         self.start = state;
     }
@@ -395,7 +384,7 @@ impl Nfa {
     /// same automaton many times can reuse one buffer instead of allocating
     /// a set per step. `out` must have been created over this automaton's
     /// state universe.
-    pub fn step_local_into(&self, set: &StateSet, sid: u32, out: &mut StateSet) {
+    fn step_local_into(&self, set: &StateSet, sid: u32, out: &mut StateSet) {
         out.clear();
         for q in set {
             for &(_, t) in self.succ_slice(q, sid) {
@@ -451,25 +440,13 @@ impl Nfa {
         }
     }
 
-    /// One *multi-symbol* step: the ε-closure of the union of the successor
-    /// sets over every symbol of `syms`. Equivalent to unioning
-    /// [`Nfa::step`] per symbol, but ε-closes once — the inner loop of
-    /// box-slot stepping and of the bottom-up tree-automaton runs, where a
-    /// child can contribute any symbol of a set.
-    pub fn step_all<'a>(
-        &self,
-        set: &StateSet,
-        syms: impl IntoIterator<Item = &'a Symbol>,
-    ) -> StateSet {
-        let mut next = StateSet::empty(self.num_states);
-        self.step_all_into(set, syms, &mut next);
-        next
-    }
-
-    /// [`Nfa::step_all`] into a caller-owned buffer: clears `out`, writes
-    /// the ε-closed multi-symbol successor set into it. The buffer-reuse
-    /// twin for the bottom-up tree-automaton runs, same contract as
-    /// [`Nfa::step_local_into`].
+    /// One *multi-symbol* step into a caller-owned buffer: clears `out` and
+    /// writes into it the ε-closure of the union of the successor sets over
+    /// every symbol of `syms`. Equivalent to unioning [`Nfa::step`] per
+    /// symbol, but ε-closes once — the inner loop of the bottom-up
+    /// tree-automaton runs, where a child can contribute any symbol of a
+    /// set. `out` must have been created over this automaton's state
+    /// universe.
     pub fn step_all_into<'a>(
         &self,
         set: &StateSet,
@@ -491,7 +468,7 @@ impl Nfa {
 
     /// The set of states reachable from `set` by reading `word`
     /// (the extended transition relation `Δ*`).
-    pub fn delta_star(&self, set: &StateSet, word: &[Symbol]) -> StateSet {
+    fn delta_star(&self, set: &StateSet, word: &[Symbol]) -> StateSet {
         let mut current = self.epsilon_closure(set);
         let mut next = StateSet::empty(self.num_states);
         for sym in word {
@@ -513,7 +490,7 @@ impl Nfa {
     }
 
     /// The set of states reachable from a single state `q` by reading `word`.
-    pub fn delta_star_from(&self, q: StateId, word: &[Symbol]) -> StateSet {
+    fn delta_star_from(&self, q: StateId, word: &[Symbol]) -> StateSet {
         self.delta_star(&StateSet::singleton(self.num_states, q), word)
     }
 
@@ -528,7 +505,7 @@ impl Nfa {
 
     /// The set of states reachable (by any transitions, including ε) from the
     /// states in `from`.
-    pub fn reachable_from(&self, from: &StateSet) -> StateSet {
+    fn reachable_from(&self, from: &StateSet) -> StateSet {
         let mut seen = from.clone();
         let mut stack: Vec<StateId> = from.iter().collect();
         while let Some(q) = stack.pop() {
@@ -900,27 +877,9 @@ impl Nfa {
         out.trim()
     }
 
-    /// Intersection of many automata.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty iterator (there is no universal language without
-    /// an alphabet).
-    pub fn intersect_all<'a>(automata: impl IntoIterator<Item = &'a Nfa>) -> Nfa {
-        let mut iter = automata.into_iter();
-        let first = iter.next().expect("intersect_all needs at least one automaton");
-        iter.fold(first.clone(), |acc, a| acc.intersect(a))
-    }
-
     /// Complement `Σ* − [self]` with respect to the given alphabet.
     pub fn complement(&self, alphabet: &Alphabet) -> Nfa {
         Dfa::from_nfa(self).complete(alphabet).complement().to_nfa()
-    }
-
-    /// Difference `[self] − [other]` with respect to the given alphabet
-    /// (needed to complete `other` before complementing it).
-    pub fn difference(&self, other: &Nfa, alphabet: &Alphabet) -> Nfa {
-        self.intersect(&other.complement(alphabet))
     }
 
     /// Converts to a DFA (subset construction).
@@ -1054,7 +1013,7 @@ mod tests {
         assert!(!inter.accepts(&[]));
         assert!(!inter.accepts(&word_chars("aba")));
 
-        let diff = abstar.difference(&a_ba_b, &ab());
+        let diff = abstar.intersect(&a_ba_b.complement(&ab()));
         assert!(diff.accepts(&[]));
         assert!(!diff.accepts(&word_chars("ab")));
     }
@@ -1135,8 +1094,5 @@ mod tests {
         assert!(sig.accepts(&[]));
         assert!(sig.accepts(&word_chars("abba")));
         assert!(sig.is_universal(&ab()));
-        let sp = Nfa::sigma_plus(&ab());
-        assert!(!sp.accepts(&[]));
-        assert!(sp.accepts(&word_chars("b")));
     }
 }

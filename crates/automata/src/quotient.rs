@@ -5,28 +5,23 @@
 //! may use at a docking point is a residual of the target content model by
 //! the languages realizable to its left and right.
 //!
-//! Three operations are provided on [`Nfa`]s:
+//! Two residuals are provided, both on a determinised subject language
+//! [`Dfa`] so that the synthesis loops, which take residuals of the *same*
+//! content model by thousands of varying contexts, determinise it once:
 //!
-//! * [`Nfa::left_quotient`] — the existential left quotient
-//!   `P⁻¹L = { w : ∃u ∈ P, u·w ∈ L }`;
-//! * [`Nfa::right_quotient`] — the existential right quotient
-//!   `L·S⁻¹ = { w : ∃v ∈ S, w·v ∈ L }`;
-//! * [`Nfa::universal_context_residual`] — the *universal* two-sided
+//! * [`Dfa::universal_context_residual`] — the *universal* two-sided
 //!   residual `{ w : ∀u ∈ P, ∀v ∈ S, u·w·v ∈ L }`, which is exactly the set
 //!   of words a docking point may contribute when the words to its left and
-//!   right range over `P` and `S` and the whole child word must stay in `L`.
+//!   right range over `P` and `S` and the whole child word must stay in `L`;
+//! * [`Dfa::uniform_context_residual`] — the same quantification with *one*
+//!   word `w` substituted into several gaps,
+//!   `{ w : ∀uᵢ ∈ Cᵢ, u₀·w·u₁·w·⋯·w·uₘ ∈ L }`, for a function that docks
+//!   several times under the same parent.
 //!
-//! All three are effective: the result is an automaton over the union of the
-//! involved alphabets. In particular, when `P` (or `S`) is the empty
-//! language the universal residual is vacuously `Σ*` over that union — the
-//! caller decides what to intersect it with.
-//!
-//! The universal residuals start by determinising the subject language. A
-//! caller that takes many residuals of the *same* language by varying
-//! contexts (the refute-and-refine synthesis loops re-enter here thousands
-//! of times) should determinise once and use the [`Dfa`] entry points
-//! [`Dfa::universal_context_residual`] / [`Dfa::uniform_context_residual`]
-//! instead — the `Nfa` methods are thin wrappers over them.
+//! Both are effective: the result is an [`Nfa`] over the union of the
+//! involved alphabets. In particular, when a context is the empty language
+//! the residual is vacuously `Σ*` over that union — the caller decides what
+//! to intersect it with.
 
 use std::collections::VecDeque;
 
@@ -38,53 +33,7 @@ use crate::nfa::{Nfa, StateId};
 use crate::stateset::StateSet;
 use crate::symbol::Alphabet;
 
-impl Nfa {
-    /// The existential left quotient `P⁻¹[self] = { w : ∃u ∈ [P], u·w ∈
-    /// [self] }`.
-    ///
-    /// # Panics
-    ///
-    /// Never in practice: the unlimited budget cannot trip.
-    pub fn left_quotient(&self, prefixes: &Nfa) -> Nfa {
-        let d = Dfa::from_nfa(self);
-        let entry = states_reachable_via(&d, prefixes, &Budget::unlimited())
-            .expect("the unlimited budget never trips");
-        // The quotient automaton is `d` with a fresh start state that can
-        // silently be in any state some prefix reaches.
-        let mut out = d.to_nfa();
-        let start = out.add_state();
-        out.set_start(start);
-        for q in &entry {
-            out.add_epsilon(start, q);
-        }
-        out.trim()
-    }
-
-    /// The existential right quotient `[self]·S⁻¹ = { w : ∃v ∈ [S], w·v ∈
-    /// [self] }`.
-    ///
-    /// # Panics
-    ///
-    /// Never in practice: the unlimited budget cannot trip.
-    pub fn right_quotient(&self, suffixes: &Nfa) -> Nfa {
-        let d = Dfa::from_nfa(self);
-        // `q` is final in the quotient iff some suffix leads from `q` to an
-        // accepting state of `d`.
-        let mut out = d.to_nfa();
-        let finals: Vec<StateId> = out.finals().iter().copied().collect();
-        for f in finals {
-            out.unset_final(f);
-        }
-        for q in 0..d.num_states() {
-            let reaches = suffix_reaches_final(&d, q, suffixes, &Budget::unlimited())
-                .expect("the unlimited budget never trips");
-            if reaches {
-                out.set_final(q);
-            }
-        }
-        out.trim()
-    }
-
+impl Dfa {
     /// The universal two-sided residual
     /// `{ w : ∀u ∈ [prefixes], ∀v ∈ [suffixes], u·w·v ∈ [self] }`.
     ///
@@ -94,54 +43,9 @@ impl Nfa {
     /// `[prefixes]` (or `[suffixes]`) is empty the constraint is vacuous and
     /// the result is `Σ*` over the union of the three alphabets.
     ///
-    /// Determinises `self` on every call; see
-    /// [`Dfa::universal_context_residual`] to reuse a cached determinisation.
-    pub fn universal_context_residual(&self, prefixes: &Nfa, suffixes: &Nfa) -> Nfa {
-        Dfa::from_nfa(self).universal_context_residual(prefixes, suffixes)
-    }
-
-    /// The **uniform** context residual: the words `w` such that
-    /// substituting *the same* `w` into every gap of the context sequence
-    /// stays in `[self]` —
-    ///
-    /// ```text
-    /// { w : ∀u₀∈[C₀], …, ∀uₘ∈[Cₘ],  u₀·w·u₁·w·⋯·w·uₘ ∈ [self] }
-    /// ```
-    ///
-    /// for `contexts = [C₀, …, Cₘ]` (so `w` occurs `m = contexts.len()-1`
-    /// times; with two contexts this coincides with
-    /// [`Nfa::universal_context_residual`]). This is the exact set of
-    /// forest words a function may return when it docks *several* times
-    /// under the same parent: every docking point receives a forest with
-    /// the same root-word language, and every valid forest language is a
-    /// subset of this one.
-    ///
-    /// The construction tracks the state *transformation* `δ_w : Q → Q`
-    /// that `w` induces on the completed DFA of `[self]` (the words with
-    /// equal transformations are indistinguishable, so the result is
-    /// regular); the reachable transformation monoid is at most `|Q|^|Q|`
-    /// but stays tiny for the content-model DFAs this is used on.
-    ///
-    /// Determinises `self` on every call; see
-    /// [`Dfa::uniform_context_residual`] to reuse a cached determinisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `contexts` has fewer than two entries (no gap to fill).
-    pub fn uniform_context_residual(&self, contexts: &[Nfa]) -> Nfa {
-        Dfa::from_nfa(self).uniform_context_residual(contexts)
-    }
-}
-
-impl Dfa {
-    /// [`Nfa::universal_context_residual`] against an already-determinised
-    /// subject language: `self` must recognise the subject (partial
-    /// transition functions are fine — completion over the union of the
-    /// alphabets happens here).
-    ///
-    /// This is the memoisation-friendly entry point: the synthesis loops
-    /// determinise each content model once per problem and take residuals by
-    /// many different contexts.
+    /// `self` must recognise the subject language; partial transition
+    /// functions are fine, completion over the union of the alphabets
+    /// happens here.
     ///
     /// # Panics
     ///
@@ -215,9 +119,27 @@ impl Dfa {
         Ok(out.trim())
     }
 
-    /// [`Nfa::uniform_context_residual`] against an already-determinised
-    /// subject language (see [`Dfa::universal_context_residual`] for the
-    /// caching rationale).
+    /// The **uniform** context residual: the words `w` such that
+    /// substituting *the same* `w` into every gap of the context sequence
+    /// stays in `[self]` —
+    ///
+    /// ```text
+    /// { w : ∀u₀∈[C₀], …, ∀uₘ∈[Cₘ],  u₀·w·u₁·w·⋯·w·uₘ ∈ [self] }
+    /// ```
+    ///
+    /// for `contexts = [C₀, …, Cₘ]` (so `w` occurs `m = contexts.len()-1`
+    /// times; with two contexts this coincides with
+    /// [`Dfa::universal_context_residual`]). This is the exact set of
+    /// forest words a function may return when it docks *several* times
+    /// under the same parent: every docking point receives a forest with
+    /// the same root-word language, and every valid forest language is a
+    /// subset of this one.
+    ///
+    /// The construction tracks the state *transformation* `δ_w : Q → Q`
+    /// that `w` induces on the completed DFA of `[self]` (the words with
+    /// equal transformations are indistinguishable, so the result is
+    /// regular); the reachable transformation monoid is at most `|Q|^|Q|`
+    /// but stays tiny for the content-model DFAs this is used on.
     ///
     /// # Panics
     ///
@@ -422,43 +344,6 @@ fn suffix_rejects_somewhere(
     Ok(false)
 }
 
-/// Whether some word of `[suffixes]` read from `q` reaches an accepting
-/// state of `d`.
-fn suffix_reaches_final(
-    d: &Dfa,
-    q: StateId,
-    suffixes: &Nfa,
-    budget: &Budget,
-) -> Result<bool, AutomataError> {
-    let ids = shared_ids(d, suffixes);
-    let s_finals = suffixes.finals_set();
-    let s0 = suffixes.start_closure();
-    let start = (s0, q);
-    let mut seen: FxHashSet<(StateSet, StateId)> = FxHashSet::from_iter([start.clone()]);
-    let mut queue = VecDeque::from([start]);
-    while let Some((sset, dq)) = queue.pop_front() {
-        budget.step()?;
-        if sset.intersects(&s_finals) && d.is_final(dq) {
-            return Ok(true);
-        }
-        for &(dsid, ssid) in &ids {
-            let snext = suffixes.step_local(&sset, ssid);
-            if snext.is_empty() {
-                continue;
-            }
-            let dnext = match d.delta_local(dq, dsid) {
-                Some(t) => t,
-                None => continue,
-            };
-            let state = (snext, dnext);
-            if seen.insert(state.clone()) {
-                queue.push_back(state);
-            }
-        }
-    }
-    Ok(false)
-}
-
 /// The `(dfa local id, nfa local id)` pairs of the symbols both automata
 /// mention. In the product walks above, symbols missing from either side
 /// never fire (either the context cannot produce them or the subject DFA is
@@ -474,6 +359,7 @@ fn shared_ids(d: &Dfa, other: &Nfa) -> Vec<(u32, u32)> {
 fn union_alphabet(d: &Dfa, other: &Nfa) -> Alphabet {
     d.alphabet().union(&other.alphabet())
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,38 +371,18 @@ mod tests {
         Regex::parse_chars(s).unwrap().to_nfa()
     }
 
-    #[test]
-    fn left_quotient_basics() {
-        // a⁻¹(ab)* = b(ab)*
-        let q = re("(ab)*").left_quotient(&re("a"));
-        assert!(is_equivalent(&q, &re("b(ab)*")));
-        // (a*)⁻¹(a*b) = a*b
-        let q2 = re("a*b").left_quotient(&re("a*"));
-        assert!(is_equivalent(&q2, &re("a*b")));
-        // Quotient by a disjoint language is empty.
-        assert!(re("(ab)*").left_quotient(&re("b")).is_empty());
-        // Quotient by the empty language is empty.
-        assert!(re("(ab)*").left_quotient(&Nfa::empty()).is_empty());
-    }
-
-    #[test]
-    fn right_quotient_basics() {
-        // (ab)*·b⁻¹ = (ab)*a
-        let q = re("(ab)*").right_quotient(&re("b"));
-        assert!(is_equivalent(&q, &re("(ab)*a")));
-        // (a*b)·b⁻¹ = a*
-        let q2 = re("a*b").right_quotient(&re("b"));
-        assert!(is_equivalent(&q2, &re("a*")));
-        assert!(re("(ab)*").right_quotient(&Nfa::empty()).is_empty());
+    /// The determinised subject language the residuals take.
+    fn dfa(s: &str) -> Dfa {
+        Dfa::from_nfa(&re(s))
     }
 
     #[test]
     fn universal_residual_single_contexts() {
         // {w : a·w ∈ a b*} = b*
-        let r = re("ab*").universal_context_residual(&re("a"), &Nfa::epsilon());
+        let r = dfa("ab*").universal_context_residual(&re("a"), &Nfa::epsilon());
         assert!(is_equivalent(&r, &re("b*")));
         // {w : a·w·c ∈ a b* c} = b*
-        let r2 = re("ab*c").universal_context_residual(&re("a"), &re("c"));
+        let r2 = dfa("ab*c").universal_context_residual(&re("a"), &re("c"));
         assert!(is_equivalent(&r2, &re("b*")));
     }
 
@@ -524,13 +390,13 @@ mod tests {
     fn universal_residual_quantifies_over_all_contexts() {
         // L = aa | bb, prefix ranges over {a}: w must satisfy a·w ∈ L, so
         // w = a only.
-        let r = re("aa + bb").universal_context_residual(&re("a"), &Nfa::epsilon());
+        let r = dfa("aa + bb").universal_context_residual(&re("a"), &Nfa::epsilon());
         assert!(is_equivalent(&r, &re("a")));
         // Prefix ranges over {a, b}: no w works for both.
-        let r2 = re("aa + bb").universal_context_residual(&re("a + b"), &Nfa::epsilon());
+        let r2 = dfa("aa + bb").universal_context_residual(&re("a + b"), &Nfa::epsilon());
         assert!(r2.is_empty());
         // L = a*, prefix a*, suffix a*: every a-word works, nothing else.
-        let r3 = re("a*").universal_context_residual(&re("a*"), &re("a*"));
+        let r3 = dfa("a*").universal_context_residual(&re("a*"), &re("a*"));
         assert!(is_equivalent(&r3, &re("a*")));
         assert!(!r3.accepts(&word_chars("b")));
     }
@@ -539,7 +405,7 @@ mod tests {
     fn universal_residual_is_vacuous_on_empty_contexts() {
         // No realizable prefix: every word (over the combined alphabet)
         // qualifies, including words outside the target language.
-        let r = re("ab").universal_context_residual(&Nfa::empty(), &Nfa::epsilon());
+        let r = dfa("ab").universal_context_residual(&Nfa::empty(), &Nfa::epsilon());
         assert!(r.accepts(&word_chars("ab")));
         assert!(r.accepts(&word_chars("ba")));
         assert!(r.accepts(&[]));
@@ -548,7 +414,7 @@ mod tests {
     #[test]
     fn uniform_residual_single_gap_matches_universal() {
         for (l, pre, suf) in [("ab*c", "a", "c"), ("(ab)*", "a + ab", "ε"), ("aa + bb", "a + b", "ε")] {
-            let l = re(l);
+            let l = dfa(l);
             let (p, s) = (re(pre), re(suf));
             let uni = l.uniform_context_residual(&[p.clone(), s.clone()]);
             let fre = l.universal_context_residual(&p, &s);
@@ -560,34 +426,31 @@ mod tests {
     fn uniform_residual_substitutes_the_same_word_everywhere() {
         let eps = || Nfa::epsilon();
         // {w : w·w ∈ {aa, bb}} = {a, b}: each singleton works on its own.
-        let u = re("aa + bb").uniform_context_residual(&[eps(), eps(), eps()]);
+        let u = dfa("aa + bb").uniform_context_residual(&[eps(), eps(), eps()]);
         assert!(u.accepts(&word_chars("a")));
         assert!(u.accepts(&word_chars("b")));
         assert!(!u.accepts(&[]));
         assert!(!u.accepts(&word_chars("ab")));
         // {w : w·w ∈ {a}} = ∅ (a single `a` cannot split evenly).
-        assert!(re("a").uniform_context_residual(&[eps(), eps(), eps()]).is_empty());
+        assert!(dfa("a").uniform_context_residual(&[eps(), eps(), eps()]).is_empty());
         // {w : w·w ∈ (ab)*} = (ab)*.
-        let sq = re("(ab)*").uniform_context_residual(&[eps(), eps(), eps()]);
+        let sq = dfa("(ab)*").uniform_context_residual(&[eps(), eps(), eps()]);
         assert!(is_equivalent(&sq, &re("(ab)*")));
         // Inner contexts are quantified universally too:
         // {w : ∀v∈{b,bb}: w·v·w ∈ a b+ a} = {a}.
-        let mid = re("ab+a").uniform_context_residual(&[eps(), re("b + bb"), eps()]);
+        let mid = dfa("ab+a").uniform_context_residual(&[eps(), re("b + bb"), eps()]);
         assert!(is_equivalent(&mid, &re("a")));
     }
 
     #[test]
     fn universal_residual_differs_from_existential_quotient() {
-        // L = ab + bb. Existential left quotient by (a|b) is {b};
-        // the universal residual by (a|b) is also... a·w∈L gives w=b,
-        // b·w∈L gives w=b, so both are {b} here. Distinguish with
-        // L = ab + bc: existential gives {b} ∪ {c} = words after a or b;
-        // universal demands w work after *both* a and b: empty.
+        // L = ab + bc. The existential left quotient by (a|b) is {b, c}: b
+        // follows a and c follows b. The universal residual demands that w
+        // work after *both* a and b: empty.
         let l = re("ab + bc");
-        let exist = l.left_quotient(&re("a + b"));
-        assert!(exist.accepts(&word_chars("b")));
-        assert!(exist.accepts(&word_chars("c")));
-        let univ = l.universal_context_residual(&re("a + b"), &Nfa::epsilon());
+        assert!(l.accepts(&word_chars("ab")));
+        assert!(l.accepts(&word_chars("bc")));
+        let univ = dfa("ab + bc").universal_context_residual(&re("a + b"), &Nfa::epsilon());
         assert!(univ.is_empty());
     }
 }

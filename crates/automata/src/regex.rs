@@ -154,7 +154,7 @@ impl Regex {
     }
 
     /// Whether ε belongs to the language.
-    pub fn nullable(&self) -> bool {
+    fn nullable(&self) -> bool {
         match self {
             Regex::Empty | Regex::Sym(_) => false,
             Regex::Epsilon | Regex::Star(_) | Regex::Opt(_) => true,
@@ -371,11 +371,6 @@ impl Glushkov {
             last: info.last,
             follow: ctx.follow,
         }
-    }
-
-    /// Number of positions (symbol occurrences).
-    pub fn num_positions(&self) -> usize {
-        self.position_symbols.len() - 1
     }
 
     /// Whether the Glushkov automaton is deterministic, i.e. whether the

@@ -15,7 +15,7 @@ use crate::equiv;
 use crate::error::AutomataError;
 use crate::nfa::Nfa;
 use crate::regex::Regex;
-use crate::symbol::{Alphabet, Symbol, Word};
+use crate::symbol::{Alphabet, Symbol};
 
 /// The formalism used to describe content models: the paper's parameter `R`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -37,11 +37,6 @@ impl RFormalism {
     /// Whether the formalism is deterministic (dFA or dRE).
     pub fn is_deterministic(self) -> bool {
         matches!(self, RFormalism::Dfa | RFormalism::Dre)
-    }
-
-    /// Whether the formalism is expression-based (nRE or dRE).
-    pub fn is_expression(self) -> bool {
-        matches!(self, RFormalism::Nre | RFormalism::Dre)
     }
 }
 
@@ -72,11 +67,6 @@ pub enum RSpec {
 }
 
 impl RSpec {
-    /// Wraps a regular expression as an `nRE` content model.
-    pub fn nre(re: Regex) -> RSpec {
-        RSpec::Nre(re)
-    }
-
     /// Wraps a regular expression as a `dRE` content model, verifying
     /// one-unambiguity of the expression.
     pub fn dre(re: Regex) -> Result<RSpec, AutomataError> {
@@ -189,51 +179,8 @@ impl RSpec {
     pub fn included_in(&self, other: &RSpec) -> bool {
         equiv::is_included(&self.to_nfa(), &other.to_nfa())
     }
-
-    /// Whether the language of this content model is *expressible* in the
-    /// target formalism. Every regular language is expressible as an nFA, dFA
-    /// or nRE; only one-unambiguous languages are expressible as dREs
-    /// (Proposition 3.6).
-    pub fn expressible_in(&self, formalism: RFormalism) -> bool {
-        match formalism {
-            RFormalism::Nfa | RFormalism::Dfa | RFormalism::Nre => true,
-            RFormalism::Dre => dre::one_unambiguous_language(&self.to_nfa()),
-        }
-    }
-
-    /// Converts to the requested formalism if possible; fails only for dRE
-    /// targets when the language is not one-unambiguous. Note that the
-    /// conversion to dRE yields an automaton-backed specification whose
-    /// *language* is one-unambiguous rather than a syntactic expression —
-    /// constructing an actual expression can incur the exponential blow-up of
-    /// Proposition 3.6(3) and is not needed by the design algorithms.
-    pub fn convert_to(&self, formalism: RFormalism) -> Result<RSpec, AutomataError> {
-        match formalism {
-            RFormalism::Nfa => Ok(RSpec::Nfa(self.to_nfa())),
-            RFormalism::Dfa => Ok(RSpec::Dfa(Dfa::from_nfa(&self.to_nfa()).minimize())),
-            RFormalism::Nre => Ok(self.clone_as_nre()),
-            RFormalism::Dre => {
-                if self.expressible_in(RFormalism::Dre) {
-                    Ok(RSpec::Dfa(Dfa::from_nfa(&self.to_nfa()).minimize()))
-                } else {
-                    Err(AutomataError::NotDeterministic(format!("{self}")))
-                }
-            }
-        }
-    }
-
-    fn clone_as_nre(&self) -> RSpec {
-        match self {
-            RSpec::Nre(r) | RSpec::Dre(r) => RSpec::Nre(r.clone()),
-            other => RSpec::Nfa(other.to_nfa()),
-        }
-    }
-
-    /// Some word accepted by this content model (shortest), if any.
-    pub fn sample_word(&self) -> Option<Word> {
-        self.to_nfa().shortest_accepted()
-    }
 }
+
 
 impl fmt::Display for RSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -265,8 +212,6 @@ mod tests {
         assert!(RFormalism::Dfa.is_deterministic());
         assert!(RFormalism::Dre.is_deterministic());
         assert!(!RFormalism::Nfa.is_deterministic());
-        assert!(RFormalism::Nre.is_expression());
-        assert!(!RFormalism::Dfa.is_expression());
         assert_eq!(RFormalism::ALL.len(), 4);
         assert_eq!(format!("{}", RFormalism::Dre), "dRE");
     }
@@ -300,19 +245,19 @@ mod tests {
 
     #[test]
     fn expressibility_in_dre() {
+        // The expression (a|b)*a is not deterministic, but its language is.
         let ends_with_a = RSpec::parse_chars(RFormalism::Nre, "(a|b)*a").unwrap();
-        assert!(ends_with_a.expressible_in(RFormalism::Dre));
+        assert!(dre::one_unambiguous_language(&ends_with_a.to_nfa()));
         let second_to_last = RSpec::parse_chars(RFormalism::Nre, "(a|b)*a(a|b)").unwrap();
-        assert!(!second_to_last.expressible_in(RFormalism::Dre));
-        assert!(second_to_last.convert_to(RFormalism::Dre).is_err());
-        assert!(second_to_last.convert_to(RFormalism::Dfa).is_ok());
+        assert!(!dre::one_unambiguous_language(&second_to_last.to_nfa()));
+        assert!(RSpec::parse_chars(RFormalism::Dre, "(a|b)*a(a|b)").is_err());
+        assert!(RSpec::parse_chars(RFormalism::Dfa, "(a|b)*a(a|b)").is_ok());
     }
 
     #[test]
     fn size_and_samples() {
         let spec = RSpec::parse_chars(RFormalism::Nre, "(ab)+").unwrap();
         assert!(spec.size() >= 3);
-        assert_eq!(spec.sample_word(), Some(word_chars("ab")));
         assert!(!spec.is_empty_language());
         assert!(!spec.accepts_epsilon());
         let eps = RSpec::parse_chars(RFormalism::Nre, "a*").unwrap();

@@ -1,7 +1,8 @@
 //! Seeded property-style tests over random small NFAs (no third-party
-//! dependencies): determinisation/minimisation preserve membership, and the
+//! dependencies): determinisation/minimisation preserve membership, the
 //! boolean/rational operations satisfy their algebraic laws on all words up
-//! to length 5.
+//! to length 5, and the context residuals of the synthesis agree with their
+//! definitions on all words up to length 4.
 
 use dxml_automata::equiv::{included, is_equivalent, is_included};
 use dxml_automata::{Alphabet, Dfa, Nfa, Symbol};
@@ -187,6 +188,51 @@ fn shortest_accepted_is_shortest() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// A finite context language: the union of one to three random literal
+/// words of length ≤ 2 over {a, b}, returned with its words.
+fn random_context(rng: &mut Rng) -> (Nfa, Vec<Vec<Symbol>>) {
+    let sigma = sigma();
+    let words: Vec<Vec<Symbol>> = (0..1 + rng.below(3))
+        .map(|_| (0..rng.below(3)).map(|_| sigma[rng.below(2)]).collect())
+        .collect();
+    let literals: Vec<Nfa> = words.iter().map(|w| Nfa::literal(w)).collect();
+    (Nfa::union_all(&literals), words)
+}
+
+/// The concatenation of `parts`.
+fn cat(parts: &[&[Symbol]]) -> Vec<Symbol> {
+    parts.concat()
+}
+
+#[test]
+fn context_residuals_match_their_definitions() {
+    let words: Vec<Vec<Symbol>> =
+        all_words_up_to_5().into_iter().filter(|w| w.len() <= 4).collect();
+    let mut rng = Rng::new(2021);
+    for case in 0..60 {
+        let l = random_nfa(&mut rng);
+        let d = Dfa::from_nfa(&l);
+        let (p, pw) = random_context(&mut rng);
+        let (s, sw) = random_context(&mut rng);
+        // Universal: w ∈ R ⟺ ∀u ∈ P, ∀v ∈ S: u·w·v ∈ L.
+        let r = d.universal_context_residual(&p, &s);
+        for w in &words {
+            let expected = pw.iter().all(|u| sw.iter().all(|v| l.accepts(&cat(&[u, w, v]))));
+            assert_eq!(r.accepts(w), expected, "case {case}: universal residual on {w:?}");
+        }
+        // Uniform over three contexts: w ∈ U ⟺ ∀uᵢ ∈ Cᵢ: u₀·w·u₁·w·u₂ ∈ L.
+        let (c1, c1w) = random_context(&mut rng);
+        let u = d.uniform_context_residual(&[p.clone(), c1, s.clone()]);
+        for w in &words {
+            let expected = pw.iter().all(|u0| {
+                c1w.iter()
+                    .all(|u1| sw.iter().all(|u2| l.accepts(&cat(&[u0, w, u1, w, u2]))))
+            });
+            assert_eq!(u.accepts(w), expected, "case {case}: uniform residual on {w:?}");
         }
     }
 }

@@ -7,7 +7,8 @@
 //! target (pointer identity), and a warm call is never slower than a cold
 //! one that has to determinise from scratch.
 
-use dxml_bench::{design_workload, section, smoke, Session};
+use dxml_automata::{Regex, RSpec};
+use dxml_bench::{design_workload, elem, section, smoke, Session};
 use dxml_core::{BoxDesignProblem, DesignProblem};
 
 fn main() {
@@ -90,6 +91,28 @@ fn main() {
         assert!(
             std::sync::Arc::ptr_eq(&first, &problem.extension_nuta(&doc).unwrap()),
             "typecheck must go through the per-document memo (n={n})"
+        );
+        // A valid typecheck never reaches the tree route, so the check above
+        // holds trivially; an invalid kernel does reach it. Break one
+        // function schema (its forests may start with the start element,
+        // which the target content model forbids): after one extension
+        // build, the invalid typecheck must be exactly one memo hit.
+        let f = doc.called_functions().into_iter().next().expect("workload has calls");
+        let mut broken = problem.fun_schema(&f).expect("workload declares all schemas").clone();
+        broken.set_rule("r", RSpec::Nre(Regex::sym(elem(0)).plus()));
+        broken.set_rule(elem(0), RSpec::Nre(Regex::Epsilon));
+        let invalid = problem.clone().with_function(f, broken);
+        invalid.extension_nuta(&doc).unwrap();
+        let before = invalid.cache_stats();
+        assert!(!invalid.typecheck(&doc).unwrap().is_valid());
+        let after = invalid.cache_stats();
+        assert_eq!(
+            (
+                after.ext_memo_hits - before.ext_memo_hits,
+                after.ext_memo_misses - before.ext_memo_misses
+            ),
+            (1, 0),
+            "an invalid typecheck must go through the per-document memo (n={n})"
         );
         if n == 16 && !smoke() {
             assert!(

@@ -75,16 +75,6 @@ pub fn dtd_family(formalism: RFormalism, n: usize, seed: u64) -> RDtd {
     dtd
 }
 
-/// A valid document of the `(n, seed)` DTD family, grown by repeatedly
-/// materialising the shortest content word of each element (deterministic).
-///
-/// # Panics
-///
-/// Never in practice: family languages are non-empty by construction.
-pub fn doc_for(dtd: &RDtd) -> XTree {
-    dtd.sample_tree().expect("family languages are non-empty")
-}
-
 /// A design problem over the `(n, seed)` family: the target is the family
 /// DTD itself; `fns` function symbols `f0…` each return forests of `e1`-trees
 /// (the content of the start symbol's first child), which keeps well-typed
@@ -373,7 +363,7 @@ impl Session {
     /// # Panics
     ///
     /// Panics when the output directory or either file cannot be written.
-    pub fn write_to(self, dir: &std::path::Path) {
+    fn write_to(self, dir: &std::path::Path) {
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| panic!("cannot create bench output dir {}: {e}", dir.display()));
         let path = dir.join(format!("BENCH_{}.json", self.name));
@@ -415,7 +405,8 @@ mod tests {
             let b = dtd_family(RFormalism::Nre, n, 7);
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "n={n} not deterministic");
             assert!(!a.language_is_empty(), "n={n} family is empty");
-            assert!(a.accepts(&doc_for(&a)), "n={n} sample invalid");
+            let sample = a.sample_tree().expect("family languages are non-empty");
+            assert!(a.accepts(&sample), "n={n} sample invalid");
             assert_eq!(a.alphabet().len(), n);
         }
         let c = dtd_family(RFormalism::Nre, 5, 8);

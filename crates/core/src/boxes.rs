@@ -936,7 +936,7 @@ impl BoxDesignProblem {
     /// admissible output marked final) by the
     /// realizable sibling languages, restricted to single states; at the
     /// parent the full residual (uniform for several docking points,
-    /// [`Nfa::uniform_context_residual`]) is the gap language. The schema
+    /// [`Dfa::uniform_context_residual`]) is the gap language. The schema
     /// materialises it with one specialised name per inhabited
     /// `(label, subset state)` pair — maximal per construction, confirmed
     /// by the tree route of [`BoxDesignProblem::typecheck`].

@@ -43,7 +43,7 @@ use crate::error::DesignError;
 /// realizable, Definition 5) together with its *forest* language — the
 /// root-word language its documents contribute at a docking point.
 #[derive(Clone, Debug)]
-pub struct ReducedFun {
+pub(crate) struct ReducedFun {
     schema: RDtd,
     forest: Nfa,
     empty: bool,
@@ -184,19 +184,19 @@ impl TargetCache {
 
     /// The content model of `name` as an NFA (`{ε}` for names without a
     /// rule, matching the leaf-only convention of [`RDtd::content`]).
-    pub fn content_nfa(&self, name: &Symbol) -> &Nfa {
+    pub(crate) fn content_nfa(&self, name: &Symbol) -> &Nfa {
         self.content_nfas.get(name).unwrap_or(&self.epsilon)
     }
 
     /// The *productive* (bound, Definition 5) element names of the target:
     /// the names that can root a complete valid subtree.
-    pub fn productive(&self) -> &BTreeSet<Symbol> {
+    pub(crate) fn productive(&self) -> &BTreeSet<Symbol> {
         &self.productive
     }
 
     /// The reduced schema of a declared function (with its forest language
     /// and emptiness), reduced once per problem.
-    pub fn reduced_fun(&self, function: &Symbol) -> Option<&ReducedFun> {
+    pub(crate) fn reduced_fun(&self, function: &Symbol) -> Option<&ReducedFun> {
         self.reduced_fun.get(function)
     }
 
@@ -204,16 +204,10 @@ impl TargetCache {
     /// problem (keyed by the element name — the machine's identity within
     /// this cache). The universal/uniform context residuals of the
     /// perfect-typing synthesis consume this instead of re-determinising
-    /// `content_nfa(name)` on every call.
-    pub fn content_dfa(&self, name: &Symbol) -> Arc<Dfa> {
-        self.residual_dfas
-            .get_or_build(name, || Dfa::from_nfa(self.content_nfa(name)))
-    }
-
-    /// Governed variant of [`TargetCache::content_dfa`]: a budget trip
-    /// during the determinisation caches nothing, so retrying with a larger
-    /// budget rebuilds the machine cleanly.
-    pub fn content_dfa_with_budget(
+    /// `content_nfa(name)` on every call. A budget trip during the
+    /// determinisation caches nothing, so retrying with a larger budget
+    /// rebuilds the machine cleanly.
+    pub(crate) fn content_dfa(
         &self,
         name: &Symbol,
         budget: &Budget,

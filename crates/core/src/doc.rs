@@ -72,7 +72,7 @@ impl DistributedDoc {
     }
 
     /// The docking points (function-call nodes), in document order.
-    pub fn function_nodes(&self) -> Vec<NodeId> {
+    fn function_nodes(&self) -> Vec<NodeId> {
         self.kernel
             .document_order()
             .into_iter()
@@ -119,11 +119,6 @@ impl DistributedDoc {
             return Err(DesignError::FunctionNotCalled { function: *function });
         }
         Ok(docking)
-    }
-
-    /// Whether the document is fully materialised (no calls left).
-    pub fn is_plain(&self) -> bool {
-        self.function_nodes().is_empty()
     }
 
     /// Number of docking points.
@@ -185,10 +180,9 @@ mod tests {
         let doc = DistributedDoc::parse("s(a f1 b(f2) f1)", ["f1", "f2", "funused"]).unwrap();
         assert_eq!(doc.num_calls(), 3);
         assert_eq!(doc.called_functions().len(), 2);
-        assert!(!doc.is_plain());
         assert!(doc.is_function(&Symbol::new("funused")));
         let plain = DistributedDoc::parse("s(a b)", ["f1"]).unwrap();
-        assert!(plain.is_plain());
+        assert_eq!(plain.num_calls(), 0);
     }
 
     #[test]

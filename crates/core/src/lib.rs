@@ -64,8 +64,7 @@ pub mod perfect;
 pub use batch::{validate_batch, validate_batch_with_budget};
 pub use boxes::{BoxDesignProblem, BoxTargetCache, BoxVerdict, BoxViolation};
 pub use design::{
-    CacheStats, DesignProblem, LocalVerdict, LocalViolation, Origin, ReducedFun, TargetCache,
-    TypingVerdict,
+    CacheStats, DesignProblem, LocalVerdict, LocalViolation, Origin, TargetCache, TypingVerdict,
 };
 pub use doc::DistributedDoc;
 pub use error::DesignError;

@@ -27,9 +27,9 @@
 //!    under a kernel node labelled `b`, with sibling languages `P` (to the
 //!    left) and `S` (to the right), the admissible words are the universal
 //!    residual `{ w : ∀u∈P, ∀v∈S, u·w·v ∈ π(b) }`
-//!    ([`dxml_automata::Nfa::universal_context_residual`]). When `f` docks
+//!    ([`dxml_automata::Dfa::universal_context_residual`]). When `f` docks
 //!    *several times under the same parent*, the candidate is the uniform
-//!    residual instead ([`dxml_automata::Nfa::uniform_context_residual`]):
+//!    residual instead ([`dxml_automata::Dfa::uniform_context_residual`]):
 //!    the words `w` whose substitution at *every* docking point stays in
 //!    `π(b)`. The candidate `U` is the intersection over all parents.
 //!
@@ -217,7 +217,7 @@ impl DesignProblem {
             // synthesis re-enters here once per docking parent and once per
             // synthesised function, but each content model is determinised
             // at most once per problem.
-            let content = cache.content_dfa_with_budget(label, budget)?;
+            let content = cache.content_dfa(label, budget)?;
             let residual = if positions.len() == 1 {
                 content.universal_context_residual_with_budget(&contexts[0], &contexts[1], budget)
             } else {

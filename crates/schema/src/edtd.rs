@@ -10,7 +10,7 @@
 //! languages, operationally an [`Nuta`] whose states are the specialised
 //! names.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use dxml_automata::{Alphabet, Nfa, RFormalism, RSpec, Symbol};
@@ -248,9 +248,9 @@ impl REdtd {
     /// Whether the EDTD is in the *normal form* of Lemma 4.10: distinct
     /// specialised names (of the same label) have pairwise disjoint tree
     /// languages, so every tree admits at most one typing. The start name is
-    /// exempt — [`REdtd::normalize`] may introduce a start that aliases the
-    /// union of several root types, which cannot be avoided with a single
-    /// start symbol.
+    /// exempt: a normal form may need a start that aliases the union of
+    /// several root types, which cannot be avoided with a single start
+    /// symbol.
     ///
     /// Operationally: every reachable subset state of the determinised
     /// specialised target contains at most one non-start name.
@@ -259,71 +259,6 @@ impl REdtd {
         duta.subsets()
             .iter()
             .all(|s| s.iter().filter(|q| **q != self.start).count() <= 1)
-    }
-
-    /// The normal form of the EDTD (Lemma 4.10): an equivalent EDTD whose
-    /// specialised names are the inhabited `(label, subset state)` pairs of
-    /// the *determinised* specialised target, so that every tree has exactly
-    /// one typing (up to the start alias). The construction is the
-    /// tree-automaton analogue of the subset construction and can be
-    /// exponential, exactly as the lemma announces.
-    ///
-    /// The name of the pair `(a, i)` is `a~i` ([`Symbol::specialize`]); when
-    /// several root types are accepting, a fresh start `a~start` aliases
-    /// their union (it occurs in no content model).
-    pub fn normalize(&self) -> REdtd {
-        let duta = self.to_nuta().determinize(&self.labels());
-        let pairs = duta.inhabited_label_states();
-        // Placeholder alphabet for the machine letters, expanded afterwards
-        // to every inhabited pair carrying that subset state. `#` cannot
-        // occur in parsed element names, so placeholders never collide.
-        let placeholder = |i: usize| Symbol::new(format!("#q{i}"));
-        let mut slots: BTreeMap<Symbol, BTreeSet<Symbol>> = BTreeMap::new();
-        for (label, states) in &pairs {
-            for &i in states {
-                slots
-                    .entry(placeholder(i))
-                    .or_default()
-                    .insert(label.specialize(i));
-            }
-        }
-        let root_label = self
-            .label_of(&self.start)
-            .cloned()
-            .unwrap_or(self.start);
-        let accepting: Vec<usize> = pairs
-            .get(&root_label)
-            .map(|states| states.iter().copied().filter(|&i| duta.is_final(i)).collect())
-            .unwrap_or_default();
-        let content_of = |label: &Symbol, i: usize| -> Nfa {
-            duta.content_nfa(i, label, placeholder)
-                .expand_symbols(&slots)
-                .trim()
-        };
-        // Start: the unique accepting pair if there is one; otherwise a
-        // fresh alias for the union of the accepting pairs (possibly none —
-        // the empty language keeps an unsatisfiable start).
-        let mut out = match accepting.as_slice() {
-            [i] => REdtd::new(RFormalism::Nfa, root_label.specialize(*i), root_label),
-            many => {
-                let alias = Symbol::new(format!("{root_label}~start"));
-                let mut e = REdtd::new(RFormalism::Nfa, alias, root_label);
-                let union = many
-                    .iter()
-                    .map(|&i| content_of(&root_label, i))
-                    .fold(Nfa::empty(), |acc, nfa| acc.union(&nfa));
-                e.set_rule(alias, RSpec::Nfa(union.trim()));
-                e
-            }
-        };
-        for (label, states) in &pairs {
-            for &i in states {
-                let name = label.specialize(i);
-                out.add_specialization(name, *label);
-                out.set_rule(name, RSpec::Nfa(content_of(label, i)));
-            }
-        }
-        out
     }
 }
 
@@ -454,47 +389,20 @@ mod tests {
     }
 
     #[test]
-    fn normalization_preserves_the_language() {
-        for e in [one_c_edtd(), {
-            // A deliberately ambiguous EDTD: x and y overlap on b-leaves.
-            let mut e = REdtd::new(RFormalism::Nre, "s", "s");
-            e.add_specialization("x", "a");
-            e.add_specialization("y", "a");
-            e.set_rule("s", RSpec::Nre(Regex::parse("x y").unwrap()));
-            e.set_rule("x", RSpec::Nre(Regex::parse("b*").unwrap()));
-            e.set_rule("y", RSpec::Nre(Regex::parse("b | c").unwrap()));
-            e
-        }] {
-            let n = e.normalize();
-            assert!(e.equivalent(&n), "normalisation changed the language of {e}");
-            assert!(n.is_normal(), "normal form is not normal: {n}");
-        }
-        // The ambiguous EDTD is not normal to begin with.
-        let e = {
-            let mut e = REdtd::new(RFormalism::Nre, "s", "s");
-            e.add_specialization("x", "a");
-            e.add_specialization("y", "a");
-            e.set_rule("s", RSpec::Nre(Regex::parse("x y").unwrap()));
-            e.set_rule("x", RSpec::Nre(Regex::parse("b*").unwrap()));
-            e.set_rule("y", RSpec::Nre(Regex::parse("b | c").unwrap()));
-            e
-        };
-        assert!(!e.is_normal());
-    }
-
-    #[test]
-    fn normalization_of_empty_and_dtd_like_languages() {
-        // Empty language: the normal form is empty too.
-        let mut empty = REdtd::new(RFormalism::Nre, "s", "s");
-        empty.set_rule("s", RSpec::Nre(Regex::sym("s")));
-        let n = empty.normalize();
-        assert!(n.language_is_empty());
-        // A trivial (DTD-like) EDTD stays equivalent and normal.
+    fn is_normal_detects_overlapping_specialisations() {
+        // The two `a` specialisations of `one_c_edtd` have disjoint
+        // languages, and a trivial (DTD-like) EDTD has one name per label.
+        assert!(one_c_edtd().is_normal());
         let mut plain = REdtd::new(RFormalism::Nre, "s", "s");
         plain.set_rule("s", RSpec::Nre(Regex::parse("a*").unwrap()));
-        let np = plain.normalize();
-        assert!(plain.equivalent(&np));
-        assert!(np.is_normal());
-        assert!(np.accepts(&parse_term("s(a a)").unwrap()));
+        assert!(plain.is_normal());
+        // A deliberately ambiguous EDTD: x and y overlap on b-leaves.
+        let mut e = REdtd::new(RFormalism::Nre, "s", "s");
+        e.add_specialization("x", "a");
+        e.add_specialization("y", "a");
+        e.set_rule("s", RSpec::Nre(Regex::parse("x y").unwrap()));
+        e.set_rule("x", RSpec::Nre(Regex::parse("b*").unwrap()));
+        e.set_rule("y", RSpec::Nre(Regex::parse("b | c").unwrap()));
+        assert!(!e.is_normal());
     }
 }

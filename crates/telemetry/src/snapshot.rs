@@ -34,7 +34,7 @@ impl HistSnapshot {
     /// least `q` (0.0–1.0) of the observations — a log2-resolution quantile.
     /// `None` when the histogram is empty or the quantile lands in the
     /// overflow bucket.
-    pub fn quantile_upper(&self, q: f64) -> Option<u64> {
+    fn quantile_upper(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
         }

@@ -175,11 +175,6 @@ impl XTree {
         self.document_order().into_iter().filter(|&n| self.is_leaf(n)).collect()
     }
 
-    /// All nodes carrying the given label, in document order.
-    pub fn nodes_labelled(&self, label: &Symbol) -> Vec<NodeId> {
-        self.document_order().into_iter().filter(|&n| self.label(n) == label).collect()
-    }
-
     /// The set of labels used in the tree.
     pub fn labels(&self) -> dxml_automata::Alphabet {
         self.nodes.iter().map(|n| n.label).collect()
@@ -270,16 +265,6 @@ impl XTree {
         rec(self, 0, node, new, &mut out, 0);
         out
     }
-
-    /// Relabels every node through `f`, returning a fresh tree. Used to apply
-    /// the specialisation-erasing morphism `µ` to witness trees.
-    pub fn map_labels(&self, mut f: impl FnMut(&Symbol) -> Symbol) -> XTree {
-        let mut out = self.clone();
-        for node in &mut out.nodes {
-            node.label = f(&node.label);
-        }
-        out
-    }
 }
 
 impl PartialEq for XTree {
@@ -326,16 +311,21 @@ mod tests {
         )
     }
 
+    /// The nodes carrying `label`, in document order.
+    fn labelled(t: &XTree, label: &str) -> Vec<NodeId> {
+        t.document_order().into_iter().filter(|&n| t.label(n).as_str() == label).collect()
+    }
+
     #[test]
     fn construction_and_accessors() {
         let t = sample();
         assert_eq!(t.size(), 5);
         assert_eq!(t.root_label().as_str(), "s");
         assert_eq!(t.child_str(t.root()), vec!["a".into(), "f1".into(), "b".into()]);
-        let b = t.nodes_labelled(&"b".into())[0];
+        let b = labelled(&t, "b")[0];
         assert_eq!(t.child_str(b), vec![Symbol::new("f2")]);
         assert_eq!(t.anc_str(b), vec![Symbol::new("s"), Symbol::new("b")]);
-        let f2 = t.nodes_labelled(&"f2".into())[0];
+        let f2 = labelled(&t, "f2")[0];
         assert_eq!(t.anc_str(f2), vec![Symbol::new("s"), Symbol::new("b"), Symbol::new("f2")]);
         assert_eq!(t.depth(), 3);
         assert_eq!(t.leaves().len(), 3);
@@ -347,7 +337,7 @@ mod tests {
     #[test]
     fn subtree_and_equality() {
         let t = sample();
-        let b = t.nodes_labelled(&"b".into())[0];
+        let b = labelled(&t, "b")[0];
         let sub = t.subtree(b);
         assert_eq!(sub, XTree::node("b", vec![XTree::leaf("f2")]));
         assert_ne!(sub, XTree::leaf("b"));
@@ -412,12 +402,9 @@ mod tests {
     #[test]
     fn subtree_replacement_and_relabelling() {
         let t = sample();
-        let a = t.nodes_labelled(&"a".into())[0];
+        let a = labelled(&t, "a")[0];
         let replaced = t.with_subtree_replaced(a, &XTree::node("x", vec![XTree::leaf("y")]));
-        assert_eq!(replaced.nodes_labelled(&"x".into()).len(), 1);
+        assert_eq!(labelled(&replaced, "x").len(), 1);
         assert_eq!(replaced.size(), 6);
-        let upper = t.map_labels(|l| Symbol::new(l.as_str().to_uppercase()));
-        assert_eq!(upper.root_label().as_str(), "S");
-        assert_eq!(upper.size(), t.size());
     }
 }

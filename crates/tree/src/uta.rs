@@ -113,18 +113,6 @@ impl Nuta {
                 .sum::<usize>()
     }
 
-    /// A copy of the automaton with a different set of final states
-    /// (useful to obtain the language of trees "rooted at" a particular
-    /// state, like the paper's `τ(ã)` of Lemma 3.4).
-    pub fn with_finals(&self, finals: impl IntoIterator<Item = Symbol>) -> Nuta {
-        let mut out = self.clone();
-        out.finals = finals.into_iter().collect();
-        for f in &out.finals {
-            out.states.insert(*f);
-        }
-        out
-    }
-
     // ------------------------------------------------------------------
     // Runs
     // ------------------------------------------------------------------
@@ -218,20 +206,16 @@ impl Nuta {
         self.finals.iter().find_map(|f| witnesses.get(f).cloned())
     }
 
-    /// Determinises the automaton over the given label universe.
+    /// Determinises the automaton over the label universe `labels` (which
+    /// should contain at least `self.labels()`; extra labels yield the empty
+    /// subset for every node carrying them).
+    ///
+    /// # Panics
+    ///
+    /// Never in practice: the unlimited budget cannot trip.
     pub fn determinize(&self, labels: &Alphabet) -> Duta {
-        Duta::from_nuta(self, labels)
-    }
-
-    /// Governed variant of [`Nuta::determinize`]: the subset construction
-    /// charges the budget and aborts with [`AutomataError::BudgetExceeded`]
-    /// when it trips.
-    pub fn determinize_with_budget(
-        &self,
-        labels: &Alphabet,
-        budget: &Budget,
-    ) -> Result<Duta, AutomataError> {
-        Duta::from_nuta_with_budget(self, labels, budget)
+        self.determinize_with_budget(labels, &Budget::unlimited())
+            .expect("the unlimited budget never trips")
     }
 }
 
@@ -296,7 +280,7 @@ impl LabelMachine {
 
     /// The subset-state produced for a node whose children produced
     /// `children` (in order).
-    pub fn output_for(&self, children: &[usize]) -> usize {
+    fn output_for(&self, children: &[usize]) -> usize {
         let mut config = self.start;
         for &c in children {
             config = self.step(config, c);
@@ -331,26 +315,13 @@ impl LabelMachine {
 #[derive(Clone)]
 pub struct Duta {
     subsets: Vec<BTreeSet<Symbol>>,
-    witnesses: Vec<XTree>,
     finals_orig: BTreeSet<Symbol>,
     labels: Alphabet,
     machines: BTreeMap<Symbol, LabelMachine>,
 }
 
-impl Duta {
-    /// Determinises `nuta` over the label universe `labels` (which should
-    /// contain at least `nuta.labels()`; extra labels yield the empty subset
-    /// for every node carrying them).
-    ///
-    /// # Panics
-    ///
-    /// Never in practice: the unlimited budget cannot trip.
-    pub fn from_nuta(nuta: &Nuta, labels: &Alphabet) -> Duta {
-        Duta::from_nuta_with_budget(nuta, labels, &Budget::unlimited())
-            .expect("the unlimited budget never trips")
-    }
-
-    /// Governed variant of [`Duta::from_nuta`]: every `(label, config,
+impl Nuta {
+    /// Governed variant of [`Nuta::determinize`]: every `(label, config,
     /// subset letter)` expansion of the fixpoint charges one budget step and
     /// every discovered subset state charges the state quota; the
     /// construction aborts with [`AutomataError::BudgetExceeded`] when the
@@ -360,13 +331,13 @@ impl Duta {
     ///
     /// Only on a broken internal invariant (a ruled `(state, label)` pair
     /// without its content automaton).
-    pub fn from_nuta_with_budget(
-        nuta: &Nuta,
+    pub fn determinize_with_budget(
+        &self,
         labels: &Alphabet,
         budget: &Budget,
     ) -> Result<Duta, AutomataError> {
         budget.check_interrupts()?;
-        let labels = labels.union(nuta.labels());
+        let labels = labels.union(self.labels());
         // Per label: the list of states with a rule and their ε-free content
         // automata.
         struct Building {
@@ -374,7 +345,6 @@ impl Duta {
             nfas: Vec<Nfa>,
             configs: Vec<Vec<StateSet>>,
             config_index: FxHashMap<Vec<StateSet>, usize>,
-            config_paths: Vec<Vec<usize>>,
             /// Sorted `(letter, next config)` adjacency per config; letters
             /// are discovered in increasing order, so plain pushes keep the
             /// vectors sorted.
@@ -383,15 +353,15 @@ impl Duta {
         }
         let mut building: BTreeMap<Symbol, Building> = BTreeMap::new();
         for label in &labels {
-            let states_with_rule: Vec<Symbol> = nuta
+            let states_with_rule: Vec<Symbol> = self
                 .states()
                 .iter()
-                .filter(|q| nuta.rule(q, label).is_some())
+                .filter(|q| self.rule(q, label).is_some())
                 .cloned()
                 .collect();
             let nfas: Vec<Nfa> = states_with_rule
                 .iter()
-                .map(|q| nuta.rule(q, label).unwrap().eps_free())
+                .map(|q| self.rule(q, label).unwrap().eps_free())
                 .collect();
             building.insert(
                 *label,
@@ -400,7 +370,6 @@ impl Duta {
                     nfas,
                     configs: Vec::new(),
                     config_index: FxHashMap::default(),
-                    config_paths: Vec::new(),
                     trans: Vec::new(),
                     output: Vec::new(),
                 },
@@ -409,7 +378,6 @@ impl Duta {
 
         let mut subsets: Vec<BTreeSet<Symbol>> = Vec::new();
         let mut subset_index: BTreeMap<BTreeSet<Symbol>, usize> = BTreeMap::new();
-        let mut witnesses: Vec<XTree> = Vec::new();
 
         // Helper closures operate through explicit arguments to appease the
         // borrow checker.
@@ -425,12 +393,11 @@ impl Duta {
 
         // Seed: the start configuration of each label (its output is the
         // subset assigned to a leaf with that label).
-        for (label, b) in &mut building {
+        for b in building.values_mut() {
             let start_config: Vec<StateSet> =
                 b.nfas.iter().map(Nfa::start_closure).collect();
             b.configs.push(start_config.clone());
             b.config_index.insert(start_config.clone(), 0);
-            b.config_paths.push(Vec::new());
             b.trans.push(Vec::new());
             let out = config_output(b, &start_config);
             let idx = match subset_index.entry(out.clone()) {
@@ -438,7 +405,6 @@ impl Duta {
                 std::collections::btree_map::Entry::Vacant(slot) => {
                     budget.grow_states(1)?;
                     subsets.push(out);
-                    witnesses.push(XTree::leaf(*label));
                     *slot.insert(subsets.len() - 1)
                 }
             };
@@ -449,7 +415,7 @@ impl Duta {
         loop {
             let mut changed = false;
             let num_subsets = subsets.len();
-            for (label, b) in &mut building {
+            for b in building.values_mut() {
                 // Per-component scratch frontiers reused across every
                 // (config, letter) expansion of this label; only genuinely
                 // new configurations are cloned out of them.
@@ -479,21 +445,13 @@ impl Duta {
                                 let i = b.configs.len();
                                 b.configs.push(scratch.clone());
                                 b.config_index.insert(scratch.clone(), i);
-                                let mut path = b.config_paths[config_id].clone();
-                                path.push(letter);
-                                b.config_paths.push(path);
                                 b.trans.push(Vec::new());
                                 let out = config_output(b, &scratch);
                                 let idx = match subset_index.entry(out.clone()) {
                                     std::collections::btree_map::Entry::Occupied(e) => *e.get(),
                                     std::collections::btree_map::Entry::Vacant(slot) => {
                                         budget.grow_states(1)?;
-                                        let children: Vec<XTree> = b.config_paths[i]
-                                            .iter()
-                                            .map(|&l| witnesses[l].clone())
-                                            .collect();
                                         subsets.push(out);
-                                        witnesses.push(XTree::node(*label, children));
                                         *slot.insert(subsets.len() - 1)
                                     }
                                 };
@@ -524,13 +482,14 @@ impl Duta {
 
         Ok(Duta {
             subsets,
-            witnesses,
-            finals_orig: nuta.finals().clone(),
+            finals_orig: self.finals().clone(),
             labels,
             machines,
         })
     }
+}
 
+impl Duta {
     /// The number of subset states.
     pub fn num_states(&self) -> usize {
         self.subsets.len()
@@ -544,11 +503,6 @@ impl Duta {
     /// All subset states, in discovery order.
     pub fn subsets(&self) -> &[BTreeSet<Symbol>] {
         &self.subsets
-    }
-
-    /// A tree whose run ends in subset state `i`.
-    pub fn witness(&self, i: usize) -> &XTree {
-        &self.witnesses[i]
     }
 
     /// Whether subset state `i` is accepting (contains an original final
@@ -625,9 +579,9 @@ impl Duta {
     /// Every subset state achievable by some tree whose root carries
     /// `label`: the Moore outputs of all reachable configurations of the
     /// label's machine. Every subset state of the automaton is inhabited by
-    /// construction (see [`Duta::witness`]), so all letters are available as
-    /// children.
-    pub fn label_outputs(&self, label: &Symbol) -> BTreeSet<usize> {
+    /// construction (it is discovered as the output of a tree), so all
+    /// letters are available as children.
+    fn label_outputs(&self, label: &Symbol) -> BTreeSet<usize> {
         let machine = match self.machines.get(label) {
             Some(m) => m,
             None => return BTreeSet::new(),
@@ -893,11 +847,6 @@ pub fn equivalent(a: &Nuta, b: &Nuta) -> Result<(), (XTree, bool)> {
     Ok(())
 }
 
-/// Convenience boolean wrappers.
-pub fn is_included(a: &Nuta, b: &Nuta) -> bool {
-    included(a, b).is_ok()
-}
-
 /// Whether the two automata accept the same tree language.
 pub fn is_equivalent(a: &Nuta, b: &Nuta) -> bool {
     equivalent(a, b).is_ok()
@@ -984,14 +933,6 @@ mod tests {
     }
 
     #[test]
-    fn with_finals_selects_subtree_language() {
-        let a = ab_star_automaton();
-        let leaves_only = a.with_finals([Symbol::new("qa")]);
-        assert!(leaves_only.accepts(&parse_term("a").unwrap()));
-        assert!(!leaves_only.accepts(&parse_term("s(a b)").unwrap()));
-    }
-
-    #[test]
     fn determinisation_agrees_with_nuta() {
         let automata = vec![ab_star_automaton()];
         for a in &automata {
@@ -1048,8 +989,8 @@ mod tests {
         l2.set_rule("qa", "a", Nfa::epsilon());
         l2.set_final("qs");
 
-        assert!(is_included(&l2, &l1));
-        assert!(!is_included(&l1, &l2));
+        assert!(included(&l2, &l1).is_ok());
+        assert!(included(&l1, &l2).is_err());
         let witness = included(&l1, &l2).unwrap_err();
         assert!(l1.accepts(&witness));
         assert!(!l2.accepts(&witness));
@@ -1112,7 +1053,7 @@ mod tests {
         l2.set_final("qt");
         let (w, _) = equivalent(&l1, &l2).unwrap_err();
         assert!(l1.accepts(&w) != l2.accepts(&w));
-        assert!(!is_included(&l1, &l2));
+        assert!(included(&l1, &l2).is_err());
     }
 
     #[test]

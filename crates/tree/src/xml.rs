@@ -20,15 +20,14 @@ use crate::tree::{NodeId, XTree};
 
 /// Parses an XML document into its element-structure tree. Text content,
 /// attributes, comments, processing instructions and the XML declaration are
-/// skipped. Nesting is bounded by [`DEFAULT_DEPTH_LIMIT`]; use
-/// [`parse_xml_with_limit`] to choose a different bound.
+/// skipped. Nesting is bounded by [`DEFAULT_DEPTH_LIMIT`]; deeper documents
+/// return a located error instead of exhausting memory.
 pub fn parse_xml(input: &str) -> Result<XTree, AutomataError> {
     parse_xml_with_limit(input, DEFAULT_DEPTH_LIMIT)
 }
 
-/// [`parse_xml`] with an explicit bound on element nesting depth; deeper
-/// documents return a located error instead of exhausting memory.
-pub fn parse_xml_with_limit(input: &str, depth_limit: usize) -> Result<XTree, AutomataError> {
+/// [`parse_xml`] with an explicit bound on element nesting depth.
+fn parse_xml_with_limit(input: &str, depth_limit: usize) -> Result<XTree, AutomataError> {
     let mut parser = SaxParser::with_depth_limit(input, depth_limit);
     let mut tree: Option<XTree> = None;
     let mut stack: Vec<NodeId> = Vec::new();

@@ -1,7 +1,7 @@
 //! Repo-invariant lint: structural conventions the workspace promises but
 //! the compiler cannot check, enforced as a CI gate.
 //!
-//! Four invariant families, reported rustc-style and failing the process
+//! Five invariant families, reported rustc-style and failing the process
 //! (for CI) when any finding survives:
 //!
 //! * `RI001`/`RI002` — every telemetry counter ([`Metric`]) and histogram
@@ -19,6 +19,11 @@
 //!   convention: governance is opt-in, never forced).
 //! * `RI006` — every crate root (and the umbrella root) carries
 //!   `#![forbid(unsafe_code)]`.
+//! * `RI007` — every `pub fn` in `crates/*/src` has a caller: its name
+//!   appears as a whole word on a non-comment line of another `.rs` file
+//!   under `crates/`, `src/`, `examples/` or `perfbench/src` (read only, the
+//!   end-to-end benchmark is a package of its own). A public function named
+//!   nowhere else is dead surface, or belongs private to its file.
 //!
 //! The scan is purely textual over the workspace sources — `std` only, no
 //! parsing — which keeps it fast and dependency-free; the conventions it
@@ -110,6 +115,37 @@ fn governed_fns(text: &str) -> Vec<String> {
         }
     }
     out
+}
+
+/// Extracts `name` from every `pub fn name` definition in `text`.
+fn pub_fns(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for (pos, _) in text.match_indices("pub fn ") {
+        if pos > 0 && !text.as_bytes()[pos - 1].is_ascii_whitespace() {
+            continue;
+        }
+        let ident: String = text[pos + 7..]
+            .chars()
+            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+            .collect();
+        if !ident.is_empty() {
+            out.push(ident);
+        }
+    }
+    out
+}
+
+/// Whether `name` occurs as a whole identifier on a line of `text` that is
+/// not a `//` comment.
+fn names_outside_comments(text: &str, name: &str) -> bool {
+    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    text.lines().filter(|line| !line.trim_start().starts_with("//")).any(|line| {
+        line.match_indices(name).any(|(pos, _)| {
+            let bytes = line.as_bytes();
+            let end = pos + name.len();
+            (pos == 0 || !is_ident(bytes[pos - 1])) && (end == bytes.len() || !is_ident(bytes[end]))
+        })
+    })
 }
 
 fn main() -> ExitCode {
@@ -239,12 +275,42 @@ fn main() -> ExitCode {
         }
     }
 
+    // RI007 — every public function in a crate's sources is named in some
+    // other file: the engine, a test, a bench, an example or perfbench.
+    let mut callers: Vec<&(PathBuf, String)> = sources.iter().collect();
+    let mut perfbench: Vec<(PathBuf, String)> = Vec::new();
+    rust_sources(&root.join("perfbench/src"), &mut perfbench);
+    callers.extend(perfbench.iter());
+    let mut public_fns = 0;
+    for (path, text) in &sources {
+        let r = rel(path);
+        if !(r.starts_with("crates/") && r.split('/').nth(2) == Some("src")) {
+            continue;
+        }
+        for name in pub_fns(text) {
+            public_fns += 1;
+            let named_elsewhere =
+                callers.iter().any(|(p, t)| p != path && names_outside_comments(t, &name));
+            if !named_elsewhere {
+                findings.push(Finding {
+                    code: "RI007",
+                    location: format!("{r} (fn `{name}`)"),
+                    message: format!(
+                        "`pub fn {name}` is named in no other file: delete it or make it private"
+                    ),
+                });
+            }
+        }
+    }
+
     println!(
-        "repo invariants: {} source files, {} counters, {} histograms, {} bench targets checked",
+        "repo invariants: {} source files, {} counters, {} histograms, {} bench targets, \
+         {} public functions checked",
         sources.len(),
         Metric::ALL.len(),
         Hist::ALL.len(),
-        targets.len()
+        targets.len(),
+        public_fns
     );
     if findings.is_empty() {
         println!("repo invariants: all invariants hold");
