@@ -36,17 +36,18 @@
 //!   residuals over the per-label Moore machines, and the resulting maximal
 //!   schema is itself an [`REdtd`] (one specialised name per inhabited
 //!   `(label, subset state)` pair) — which a DTD could not express. The
-//!   candidate is confirmed on the tree route directly, in the
-//!   refute-and-refine style of [`crate::perfect`], so that a synthesis
-//!   does not build the candidate's gap languages.
+//!   candidate is confirmed on the same string walk, in the
+//!   refute-and-refine style of [`crate::perfect`], with its own gap
+//!   language in place of the declared schema's.
 //!
 //! The artefacts are cached by what they depend on. The determinised target
 //! (with its accepting set and Moore-machine DFA memo) depends only on the
 //! target schema: it is built once and shared by `Arc` across clones, so a
 //! problem, its copies with more functions and the DTD front end over the
 //! same schema all reuse one automaton. The per-function gap languages are
-//! built on the first decision (the synthesis confirmation aside) and
-//! dropped by [`BoxDesignProblem::add_function`]. The extension automata
+//! built on the first decision and dropped by
+//! [`BoxDesignProblem::add_function`]; a synthesis builds its candidate's
+//! gap language alone and keeps it for that call. The extension automata
 //! are built only by the tree route and memoised per document in a FIFO
 //! that clones share until one of them is mutated.
 
@@ -371,7 +372,7 @@ impl<'a> BoxTargetCache<'a> {
 /// its achievable subset states.
 fn children_word(
     doc: &DistributedDoc,
-    funs: &BTreeMap<Symbol, FunArtifacts>,
+    funs: &BTreeMap<Symbol, &FunArtifacts>,
     achievable: &[StateSet],
     children: &[NodeId],
 ) -> Nfa {
@@ -786,35 +787,42 @@ impl BoxDesignProblem {
         if self.string_walk(doc, budget)?.is_valid() {
             return Ok(TypingVerdict::Valid);
         }
-        self.tree_typecheck(doc, budget, |t| self.doc_schema.validate(t))
+        let (counterexample, violation) =
+            self.tree_typecheck(doc, budget, |t| self.doc_schema.validate(t))?;
+        Ok(TypingVerdict::Invalid { counterexample, violation })
     }
 
-    /// The tree route of every front end: inclusion of the extension
-    /// automaton in the determinised target. A counterexample is explained
-    /// by `validate`, the front end's own validation against its target.
-    /// Unspanned: [`BoxDesignProblem::typecheck`] runs it after a violating
-    /// string walk, and the perfect-typing syntheses run it directly as
-    /// their confirming oracle.
+    /// The tree route of every front end, run by the two `typecheck`s after
+    /// a violating string walk: inclusion of the extension automaton in the
+    /// determinised target, whose counterexample document is explained by
+    /// `validate`, the front end's own validation against its target. An
+    /// inclusion that holds, or a counterexample that validates, contradicts
+    /// the exact walk and is reported as [`DesignError::InvariantViolation`].
     pub(crate) fn tree_typecheck(
         &self,
         doc: &DistributedDoc,
         budget: &Budget,
         validate: impl FnOnce(&XTree) -> Result<(), SchemaError>,
-    ) -> Result<TypingVerdict, DesignError> {
+    ) -> Result<(XTree, SchemaError), DesignError> {
         budget.check_interrupts()?;
         let ext = self.extension_nuta(doc)?;
         let target = self.shared_target(budget)?;
-        match uta::included_in_duta_with_budget(&ext, &target.duta, budget)? {
-            Ok(()) => Ok(TypingVerdict::Valid),
-            Err(counterexample) => match validate(&counterexample) {
-                Err(violation) => Ok(TypingVerdict::Invalid { counterexample, violation }),
-                Ok(()) => Err(DesignError::InvariantViolation {
-                    detail: format!(
-                        "tree-inclusion counterexample `{counterexample}` unexpectedly \
-                         validates against the target schema"
-                    ),
-                }),
-            },
+        let Err(counterexample) = uta::included_in_duta_with_budget(&ext, &target.duta, budget)?
+        else {
+            return Err(DesignError::InvariantViolation {
+                detail: "the string walk found a violation, but every extension is included \
+                         in the target on the tree route"
+                    .into(),
+            });
+        };
+        match validate(&counterexample) {
+            Err(violation) => Ok((counterexample, violation)),
+            Ok(()) => Err(DesignError::InvariantViolation {
+                detail: format!(
+                    "tree-inclusion counterexample `{counterexample}` unexpectedly \
+                     validates against the target schema"
+                ),
+            }),
         }
     }
 
@@ -861,14 +869,26 @@ impl BoxDesignProblem {
         budget.check_interrupts()?;
         doc.require_schemas(&self.fun_schemas)?;
         let BoxTargetCache { target, funs } = self.target_cache_with_budget(budget)?;
-        let kernel = doc.kernel();
-        let called = doc.called_functions();
+        let called = doc.called_functions().into_iter().map(|f| (f, &funs[&f])).collect();
+        Self::walk(doc, target, &called, budget)
+    }
 
-        if called.iter().any(|f| funs[f].forest_empty) {
+    /// The string walk proper, over the artefacts `funs` of every called
+    /// function: [`BoxDesignProblem::string_walk`] passes the problem's own,
+    /// perfect-typing synthesis a synthesised candidate's in place of the
+    /// declared schema's.
+    fn walk(
+        doc: &DistributedDoc,
+        target: &TargetAutomaton,
+        funs: &BTreeMap<Symbol, &FunArtifacts>,
+        budget: &Budget,
+    ) -> Result<BoxVerdict, DesignError> {
+        let kernel = doc.kernel();
+        if funs.values().any(|fa| fa.forest_empty) {
             return Ok(BoxVerdict::Valid);
         }
-        for f in &called {
-            if let Some(label) = &funs[f].unknown {
+        for (f, fa) in funs {
+            if let Some(label) = &fa.unknown {
                 return Ok(BoxVerdict::Invalid(BoxViolation::UnknownElement {
                     element: *label,
                     origin: Origin::Function { function: *f },
@@ -939,7 +959,8 @@ impl BoxDesignProblem {
     /// [`Dfa::uniform_context_residual`]) is the gap language. The schema
     /// materialises it with one specialised name per inhabited
     /// `(label, subset state)` pair — maximal per construction, confirmed
-    /// by the tree route of [`BoxDesignProblem::typecheck`].
+    /// by the string walk of [`BoxDesignProblem::verify_local`] with the
+    /// candidate's gap language in place of the declared schema's.
     ///
     /// # Errors
     ///
@@ -954,9 +975,9 @@ impl BoxDesignProblem {
     ///   `function` sit under several distinct parents; the per-parent
     ///   residuals of this construction cannot bound that case for EDTD
     ///   targets.
-    /// * [`DesignError::InvariantViolation`] — the oracle refuted a
-    ///   candidate the construction proves maximal; a bug in this library,
-    ///   never a property of the input.
+    /// * [`DesignError::InvariantViolation`] — the confirming walk refuted
+    ///   a candidate the construction proves maximal (the violation is in
+    ///   the detail); a bug in this library, never a property of the input.
     pub fn perfect_schema(
         &self,
         doc: &DistributedDoc,
@@ -966,11 +987,11 @@ impl BoxDesignProblem {
     }
 
     /// Governed variant of [`BoxDesignProblem::perfect_schema`]: the cache
-    /// build, the achievable-set pass, the spine residuals and the
-    /// confirming typecheck oracle all charge `budget`, and a trip surfaces
-    /// as [`DesignError::BudgetExceeded`] with the problem's caches left
-    /// unpoisoned (a retry with a larger budget agrees with the ungoverned
-    /// result).
+    /// build, the achievable-set pass, the spine residuals, the candidate's
+    /// gap language and the confirming walk all charge `budget`, and a trip
+    /// surfaces as [`DesignError::BudgetExceeded`] with the problem's caches
+    /// left unpoisoned (a retry with a larger budget agrees with the
+    /// ungoverned result).
     ///
     /// # Errors
     ///
@@ -1000,6 +1021,7 @@ impl BoxDesignProblem {
         }
         let BoxTargetCache { target, funs } = self.target_cache_with_budget(budget)?;
         let mut forced_empty = false;
+        let mut siblings: BTreeMap<Symbol, &FunArtifacts> = BTreeMap::new();
         for g in doc.called_functions() {
             if g == f {
                 continue;
@@ -1013,6 +1035,7 @@ impl BoxDesignProblem {
                 // every non-vacuous design fails, independent of `f`.
                 forced_empty = true;
             }
+            siblings.insert(g, art);
         }
         let (&parent, positions) = docking.iter().next().expect("docking is non-empty");
 
@@ -1039,14 +1062,14 @@ impl BoxDesignProblem {
                 forced_empty = true;
                 continue;
             }
-            let word = children_word(doc, funs, &achievable, kernel.children(node));
+            let word = children_word(doc, &siblings, &achievable, kernel.children(node));
             let outs = duta.outputs_over_with_budget(label, &word, letter_of, budget)?;
             achievable[node] = StateSet::from_iter(universe, outs.keys().copied());
         }
 
         // Top-down: the safe subset states per spine level, then the gap
         // language at the parent.
-        let segment = |range: &[NodeId]| children_word(doc, funs, &achievable, range);
+        let segment = |range: &[NodeId]| children_word(doc, &siblings, &achievable, range);
         let mut safe: StateSet = target.accepting.clone();
         let mut gap = Nfa::empty();
         for (level, &x) in spine.iter().enumerate() {
@@ -1101,32 +1124,25 @@ impl BoxDesignProblem {
         }
         let gap = if forced_empty { Nfa::empty() } else { gap };
 
+        // The oracle is the string walk with the candidate's gap language in
+        // place of the declared schema's.
         let schema = build_perfect(&gap, duta);
-        // The oracle is the tree route alone: a string walk would build the
-        // candidate's gap languages on every synthesis.
-        let candidate = self.clone().with_function(f, schema.clone());
-        let verdict = {
-            let _span = telemetry::span(telemetry::SpanKind::Typecheck);
-            candidate.tree_typecheck(doc, budget, |t| candidate.doc_schema.validate(t))?
-        };
-        match verdict {
-            TypingVerdict::Valid => Ok(schema),
-            TypingVerdict::Invalid { counterexample, .. } => {
-                if positions.len() > 1 {
-                    // The uniform candidate is an upper bound on every
-                    // valid gap language (substituting any of its words at
-                    // every docking point stays valid), so a refutation
-                    // proves incomparable maximal languages exist.
-                    Err(DesignError::NoMaximalSchema { function: f })
-                } else {
-                    Err(DesignError::InvariantViolation {
-                        detail: format!(
-                            "typecheck refuted the maximal box candidate for `{f}` \
-                             with `{counterexample}`"
-                        ),
-                    })
-                }
+        let candidate = FunArtifacts::build(&schema, duta, budget)?;
+        siblings.insert(f, &candidate);
+        match Self::walk(doc, target, &siblings, budget)? {
+            BoxVerdict::Valid => Ok(schema),
+            // The uniform candidate is an upper bound on every valid gap
+            // language (substituting any of its words at every docking point
+            // stays valid), so a refutation proves incomparable maximal
+            // languages exist.
+            BoxVerdict::Invalid(_) if positions.len() > 1 => {
+                Err(DesignError::NoMaximalSchema { function: f })
             }
+            BoxVerdict::Invalid(violation) => Err(DesignError::InvariantViolation {
+                detail: format!(
+                    "the string walk refuted the maximal box candidate for `{f}`: {violation}"
+                ),
+            }),
         }
     }
 

@@ -16,8 +16,8 @@
 //!   validation is per-node-local, the extension language is included in
 //!   `[τ]` iff a family of *string*-language inclusions holds, each decided
 //!   by [`dxml_automata::equiv::included`] with a counterexample word. The
-//!   same walk, with the synthesised function's docking parents skipped,
-//!   explains refuted candidates in [`crate::perfect`].
+//!   same walk confirms the candidates of [`crate::perfect`] and, with the
+//!   synthesised function's docking parents skipped, explains refuted ones.
 //! * [`DesignProblem::typecheck`] — decides on the same walk, and only when
 //!   it finds a violation runs the engine's tree route (extension automaton
 //!   included in the determinised target) to build a counterexample
@@ -50,7 +50,7 @@ pub(crate) struct ReducedFun {
 }
 
 impl ReducedFun {
-    fn build(schema: &RDtd) -> ReducedFun {
+    pub(crate) fn build(schema: &RDtd) -> ReducedFun {
         let schema = schema.reduce();
         let empty = schema.language_is_empty();
         let forest = schema.content(schema.start()).to_nfa();
@@ -581,19 +581,9 @@ impl DesignProblem {
         if self.string_walk(doc, budget)?.is_valid() {
             return Ok(TypingVerdict::Valid);
         }
-        self.engine().tree_typecheck(doc, budget, |t| self.doc_schema.validate(t))
-    }
-
-    /// The tree route alone, recorded as a typecheck: the confirming oracle
-    /// of [`crate::perfect`]. A string walk there would rebuild the
-    /// candidate's [`TargetCache`] on every synthesis.
-    pub(crate) fn tree_typecheck(
-        &self,
-        doc: &DistributedDoc,
-        budget: &Budget,
-    ) -> Result<TypingVerdict, DesignError> {
-        let _span = telemetry::span(telemetry::SpanKind::Typecheck);
-        self.engine().tree_typecheck(doc, budget, |t| self.doc_schema.validate(t))
+        let (counterexample, violation) =
+            self.engine().tree_typecheck(doc, budget, |t| self.doc_schema.validate(t))?;
+        Ok(TypingVerdict::Invalid { counterexample, violation })
     }
 
     /// The DTD string walk: local typing verification by string-language
@@ -893,8 +883,8 @@ mod tests {
         let doc = DistributedDoc::parse("s(a f)", ["f"]).unwrap();
         let perfect = problem.perfect_schema(&doc, "f").unwrap();
         let duta = shared_duta(&problem);
-        // The embedding, and the copy with the synthesised schema that
-        // perfect_schema confirms its candidate with, reuse it …
+        // The embedding, and the copy with the synthesised schema, reuse
+        // it …
         let embedded = BoxDesignProblem::from(&problem);
         assert!(std::ptr::eq(duta, embedded.target_cache().duta()));
         let solved = problem.clone().with_function("f", perfect);

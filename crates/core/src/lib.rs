@@ -27,12 +27,13 @@
 //!   SDTD validation of many documents over all cores, with per-document
 //!   panic isolation.
 //!
-//! On both front ends `typecheck` decides on its string route and runs the
-//! tree route only when the walk finds a violation, to build the
+//! On both front ends the string route decides every question. `typecheck`
+//! runs the tree route only when the walk finds a violation, to build the
 //! counterexample document ([`DesignProblem::typecheck`],
-//! [`BoxDesignProblem::typecheck`]). A valid design therefore never builds an
-//! extension automaton. The perfect-typing syntheses confirm their
-//! candidates on the tree route directly.
+//! [`BoxDesignProblem::typecheck`]), and the perfect-typing syntheses confirm
+//! their candidates on the walk, with the candidate's own artefact in place
+//! of the declared schema's. A decision therefore builds an extension
+//! automaton only for an invalid design.
 //!
 //! Every decision procedure has a governed `*_with_budget` variant
 //! ([`DesignProblem::typecheck_with_budget`],

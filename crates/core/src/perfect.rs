@@ -41,15 +41,13 @@
 //!    `U`** — mixed-word combinations from `U` are what the oracle below
 //!    decides.
 //! 2. **Refute or confirm.** The candidate is submitted to the typecheck
-//!    oracle — the engine's tree route alone, run on a copy of the problem
-//!    that shares its determinised target. (The string walk that
-//!    [`DesignProblem::typecheck`] decides with would rebuild the copy's
-//!    [`crate::design::TargetCache`] on every synthesis.) A
-//!    counterexample either exposes a violation *independent* of `f`
-//!    (found by the [`DesignProblem::verify_local`] walk with `f`'s docking
-//!    parents skipped; only the empty forest language then typechecks,
-//!    vacuously), or proves — by the maximality argument above — that
-//!    incomparable maximal languages exist
+//!    oracle: the exact DTD string walk [`DesignProblem::typecheck`]
+//!    decides with, over the problem's own cache and the candidate's
+//!    reduced schema, so no copy of the problem is made. A refuting
+//!    violation either exposes one *independent* of `f` (found by the same
+//!    walk with `f`'s docking parents skipped; only the empty forest
+//!    language then typechecks, vacuously), or proves — by the maximality
+//!    argument above — that incomparable maximal languages exist
 //!    ([`DesignError::NoMaximalSchema`]: e.g. `(a,a) | (b,b)` with two `f`
 //!    docking points, where `{a}` and `{b}` are both maximal), or, when
 //!    neither explanation applies, reveals a broken invariant of the
@@ -102,7 +100,7 @@ use dxml_automata::{Alphabet, Budget, Nfa, RFormalism, RSpec, Symbol};
 use dxml_schema::RDtd;
 use dxml_tree::NodeId;
 
-use crate::design::{child_language, DesignProblem, ReducedFun, TargetCache, TypingVerdict};
+use crate::design::{child_language, DesignProblem, ReducedFun, TargetCache};
 use crate::doc::DistributedDoc;
 use crate::error::DesignError;
 
@@ -131,9 +129,10 @@ impl DesignProblem {
     ///   design is vacuous and every schema typechecks), or the docking
     ///   points of `function` interact through a content model with several
     ///   incomparable maximal languages.
-    /// * [`DesignError::InvariantViolation`] — the typecheck oracle refuted
-    ///   a converged candidate for a reason the construction cannot
-    ///   explain; a bug in this library, never a property of the input.
+    /// * [`DesignError::InvariantViolation`] — the confirming string walk
+    ///   refuted a converged candidate for a reason the construction cannot
+    ///   explain (the violation is in the detail); a bug in this library,
+    ///   never a property of the input.
     pub fn perfect_schema(
         &self,
         doc: &DistributedDoc,
@@ -143,8 +142,8 @@ impl DesignProblem {
     }
 
     /// Governed variant of [`DesignProblem::perfect_schema`]: the residual
-    /// constructions, the cached determinisations and the confirming
-    /// typecheck oracle all charge `budget`, and a trip surfaces as
+    /// constructions, the cached determinisations and the confirming string
+    /// walk all charge `budget`, and a trip surfaces as
     /// [`DesignError::BudgetExceeded`]. A trip leaves the problem's caches
     /// unpoisoned: retrying the same synthesis with a larger budget (or the
     /// unlimited default) succeeds and agrees with the ungoverned result.
@@ -228,7 +227,37 @@ impl DesignProblem {
                 break;
             }
         }
-        self.confirm_candidate(doc, &f, &docking, &siblings, &w, cache, budget)
+
+        // Refute or confirm: the oracle is the DTD string walk with the
+        // candidate's reduced schema beside the siblings'. An empty
+        // candidate language is vacuously valid, as in the walk.
+        let schema = self.build_perfect(&w, cache);
+        let candidate = ReducedFun::build(&schema);
+        if candidate.language_is_empty() {
+            return Ok(schema);
+        }
+        siblings.insert(f, &candidate);
+        let refuted = self.local_violation(doc, cache, &siblings, |_| false, budget)?;
+        siblings.remove(&f);
+        let Some(violation) = refuted else {
+            return Ok(schema);
+        };
+        // A violation independent of `f` leaves only the empty forest
+        // language, which typechecks vacuously; otherwise, for interacting
+        // docking points, the refuted upper bound proves incomparable
+        // maximal languages; any other refutation is a broken invariant.
+        let docking_parent = |n| docking.contains_key(&n);
+        if self.local_violation(doc, cache, &siblings, docking_parent, budget)?.is_some() {
+            Ok(self.build_perfect(&Nfa::empty(), cache))
+        } else if docking.values().any(|positions| positions.len() > 1) {
+            Err(DesignError::NoMaximalSchema { function: f })
+        } else {
+            Err(DesignError::InvariantViolation {
+                detail: format!(
+                    "the string walk refuted the maximal perfect candidate for `{f}`: {violation}"
+                ),
+            })
+        }
     }
 
     /// Perfect schemas for every called function of `doc`, each synthesised
@@ -271,70 +300,6 @@ impl DesignProblem {
             schema.set_rule(name, RSpec::Nfa(content));
         }
         schema
-    }
-
-    // ------------------------------------------------------------------
-    // The typecheck oracle
-    // ------------------------------------------------------------------
-
-    /// Submits the candidate to the typecheck oracle. On refutation the
-    /// counterexample is explained: a violation independent of `f` means
-    /// only the empty forest language typechecks (vacuously); otherwise,
-    /// for interacting docking points, the refutation *proves* incomparable
-    /// maximal languages exist (the candidate is an upper bound on every
-    /// valid forest language); any other refutation is a broken invariant
-    /// of the construction.
-    #[allow(clippy::too_many_arguments)] // internal: the synthesis walk's full working set
-    fn confirm_candidate(
-        &self,
-        doc: &DistributedDoc,
-        f: &Symbol,
-        docking: &BTreeMap<NodeId, Vec<usize>>,
-        siblings: &BTreeMap<Symbol, &ReducedFun>,
-        w: &Nfa,
-        cache: &TargetCache,
-        budget: &Budget,
-    ) -> Result<RDtd, DesignError> {
-        let schema = self.build_perfect(w, cache);
-        let candidate = self.clone().with_function(*f, schema.clone());
-        match candidate.tree_typecheck(doc, budget)? {
-            TypingVerdict::Valid => Ok(schema),
-            TypingVerdict::Invalid { counterexample, .. } => {
-                let independent = self.local_violation(
-                    doc,
-                    cache,
-                    siblings,
-                    |n| docking.contains_key(&n),
-                    budget,
-                )?;
-                if independent.is_some() {
-                    let empty = self.build_perfect(&Nfa::empty(), cache);
-                    let check = self.clone().with_function(*f, empty.clone());
-                    match check.tree_typecheck(doc, budget)? {
-                        TypingVerdict::Valid => Ok(empty),
-                        TypingVerdict::Invalid { counterexample, .. } => {
-                            Err(DesignError::InvariantViolation {
-                                detail: format!(
-                                    "the empty forest language for `{f}` still admits the \
-                                     invalid extension `{counterexample}`"
-                                ),
-                            })
-                        }
-                    }
-                } else if docking.values().any(|positions| positions.len() > 1) {
-                    // Several docking points share a parent: the refuted
-                    // upper bound proves incomparable maximal languages.
-                    Err(DesignError::NoMaximalSchema { function: *f })
-                } else {
-                    Err(DesignError::InvariantViolation {
-                        detail: format!(
-                            "typecheck refuted the maximal perfect candidate for `{f}` \
-                             with `{counterexample}`"
-                        ),
-                    })
-                }
-            }
-        }
     }
 }
 

@@ -323,6 +323,12 @@ fn box_perfect_schema_is_exact_on_enumerated_forests() {
             problem.doc_schema()
         );
         assert!(solved.verify_local(&doc).expect("verify_local runs").is_valid());
+        let ext = solved.extension_nuta(&doc).expect("schema for f supplied");
+        assert!(
+            included_in_duta(&ext, solved.target_cache().duta()).is_ok(),
+            "the tree route refutes the synthesised schema on {doc:?} against {:?}",
+            problem.doc_schema()
+        );
         for forest in &probe_forests {
             let mut results: BTreeMap<Symbol, XForest> = BTreeMap::new();
             results.insert(Symbol::new("f"), forest.clone());

@@ -138,6 +138,62 @@ fn a_tripped_shared_target_build_leaves_both_clones_rebuildable() {
     ));
 }
 
+/// Sweeps the step quota of one synthesis upwards from 1, each time on a
+/// fresh (cold) problem from `make`, until a governed call succeeds. Every
+/// governed result must be a steps trip or the ungoverned schema, and after
+/// every trip the same problem, asked again without a budget (what the
+/// ungoverned `perfect_schema` runs), must still return that schema. So a
+/// trip at any point of the synthesis — the target build, the residuals or
+/// the candidate's check — leaves nothing half-built behind. Returns the
+/// first quota that sufficed.
+fn sweep_synthesis_budgets<P, S: std::fmt::Debug>(
+    make: impl Fn() -> P,
+    synthesise: impl Fn(&P, &Budget) -> Result<S, DesignError>,
+) -> u64 {
+    const MAX_STEPS: u64 = 100_000;
+    let expected = format!("{:?}", synthesise(&make(), &Budget::unlimited()).unwrap());
+    for k in 1..=MAX_STEPS {
+        let problem = make();
+        match synthesise(&problem, &faults::budget_tripping_after(k)) {
+            Ok(schema) => {
+                assert_eq!(format!("{schema:?}"), expected, "governed result at k = {k}");
+                return k;
+            }
+            Err(DesignError::BudgetExceeded { resource: Resource::Steps, .. }) => {
+                let retried = synthesise(&problem, &Budget::unlimited()).unwrap();
+                assert_eq!(format!("{retried:?}"), expected, "retry after a trip at k = {k}");
+            }
+            Err(other) => panic!("expected a steps trip or the schema at k = {k}, got {other:?}"),
+        }
+    }
+    panic!("synthesis still trips with {MAX_STEPS} steps");
+}
+
+#[test]
+fn perfect_schema_budget_sweep_trips_or_agrees_at_every_quota() {
+    // One docking point beside a sibling function, and two docking points
+    // under one parent (the uniform residual).
+    let designs = [
+        ("s -> a, g*, b*\nb -> c?\ng -> b?", "s(a g f)"),
+        ("s -> (a, b)*\na -> c?", "s(f f)"),
+    ];
+    for (rules, kernel) in designs {
+        let make = || {
+            DesignProblem::new(RDtd::parse(RFormalism::Nre, rules).unwrap())
+                .with_function("g", RDtd::parse(RFormalism::Nre, "r -> g\ng -> b?").unwrap())
+        };
+        let doc = DistributedDoc::parse(kernel, ["f", "g"]).unwrap();
+        let dtd_steps = sweep_synthesis_budgets(make, |p: &DesignProblem, budget| {
+            p.perfect_schema_with_budget(&doc, "f", budget)
+        });
+        let box_steps = sweep_synthesis_budgets(
+            || BoxDesignProblem::from(&make()),
+            |p: &BoxDesignProblem, budget| p.perfect_schema_with_budget(&doc, "f", budget),
+        );
+        assert!(dtd_steps > 1 && box_steps > 1, "{kernel}: the sweep must trip at least once");
+    }
+}
+
 #[test]
 fn streaming_validation_honours_every_budget_dimension() {
     let sdtd = RSdtd::parse(RFormalism::Nre, "s -> r*\nr -> r*").unwrap();

@@ -4,8 +4,9 @@
 //! break typechecking.
 
 use dxml_automata::{Nfa, RFormalism, RSpec, Symbol};
-use dxml_core::{DesignProblem, DistributedDoc};
+use dxml_core::{BoxDesignProblem, DesignProblem, DistributedDoc};
 use dxml_schema::RDtd;
+use dxml_tree::uta::included_in_duta;
 
 fn dtd(rules: &str) -> RDtd {
     RDtd::parse(RFormalism::Nre, rules).unwrap()
@@ -43,6 +44,13 @@ fn assert_perfect_and_maximal(problem: &DesignProblem, doc: &DistributedDoc, f: 
         "perfect schema for `{f}` must typecheck:\n{schema}"
     );
     assert!(solved.verify_local(doc).unwrap().is_valid());
+    // Synthesis confirms on the string walk, and a valid typecheck never
+    // leaves it: the tree route checks the schema independently.
+    let ext = solved.extension_nuta(doc).unwrap();
+    assert!(
+        included_in_duta(&ext, BoxDesignProblem::from(&solved).target_cache().duta()).is_ok(),
+        "the tree route must admit every extension under the perfect schema for `{f}`:\n{schema}"
+    );
 
     // (b) maximality: any single-word growth of any content model breaks it.
     let per_rule = 5usize;

@@ -6,7 +6,7 @@
 //! binaries), so flipping the global gate here cannot interfere with the
 //! library's unit tests or any other integration binary.
 
-use dxml_core::{validate_batch, DesignProblem, DistributedDoc};
+use dxml_core::{validate_batch, BoxDesignProblem, DesignProblem, DistributedDoc};
 use dxml_schema::{RDtd, RSdtd, StreamValidator};
 use dxml_telemetry as telemetry;
 
@@ -62,16 +62,41 @@ fn enabled_engine_pass_lights_up_the_registry() {
         "one valid typecheck must add one typecheck span and no verify_local span"
     );
     // Perfect-schema synthesis drives the residual-DFA memo. On the warm
-    // problem it builds nothing: the candidate is confirmed on a copy that
-    // shares the determinised target.
+    // problem it builds nothing: the candidate is confirmed on the string
+    // walk, against the problem's own caches plus the candidate's reduced
+    // schema.
     let builds = || {
         let s = telemetry::Snapshot::take();
         s.counter(telemetry::Metric::TargetCacheBuilds)
             + s.counter(telemetry::Metric::BoxTargetCacheBuilds)
     };
+    // Nor does it run the tree route: no typecheck span, no extension
+    // automaton — on the DTD front end and on its embedding alike.
+    let tree_route = || {
+        let s = telemetry::Snapshot::take();
+        (
+            s.histogram(telemetry::Hist::SpanTypecheckNs).count,
+            s.counter(telemetry::Metric::ExtMemoMisses),
+        )
+    };
     let before = builds();
+    let tree_before = tree_route();
     problem.perfect_schema(&doc, "fDE").expect("synthesis succeeds");
     assert_eq!(builds(), before, "synthesis on a warm problem must not rebuild a target cache");
+    assert_eq!(
+        tree_route(),
+        tree_before,
+        "DTD synthesis must add no typecheck span and no extension-memo miss"
+    );
+    let boxed = BoxDesignProblem::from(&problem);
+    assert!(boxed.verify_local(&doc).unwrap().is_valid());
+    let tree_before = tree_route();
+    boxed.perfect_schema(&doc, "fDE").expect("box synthesis succeeds");
+    assert_eq!(
+        tree_route(),
+        tree_before,
+        "box synthesis must add no typecheck span and no extension-memo miss"
+    );
 
     // Streaming layer: one well-formed document through the one-pass
     // validator, then a small batch through the parallel driver.

@@ -1,7 +1,7 @@
 //! Repo-invariant lint: structural conventions the workspace promises but
 //! the compiler cannot check, enforced as a CI gate.
 //!
-//! Five invariant families, reported rustc-style and failing the process
+//! Seven invariant families, reported rustc-style and failing the process
 //! (for CI) when any finding survives:
 //!
 //! * `RI001`/`RI002` — every telemetry counter ([`Metric`]) and histogram
@@ -24,6 +24,12 @@
 //!   under `crates/`, `src/`, `examples/` or `perfbench/src` (read only, the
 //!   end-to-end benchmark is a package of its own). A public function named
 //!   nowhere else is dead surface, or belongs private to its file.
+//! * `RI008` — the tree route has one caller. In the non-test code of
+//!   `crates/core/src`, `included_in_duta_with_budget` appears on exactly
+//!   one non-comment line, and every call of the function holding it sits
+//!   in a `typecheck_with_budget` body (judged by the nearest preceding
+//!   `fn` line): every question is decided on the string walk, and the tree
+//!   route only renders the counterexample of a violating one.
 //!
 //! The scan is purely textual over the workspace sources — `std` only, no
 //! parsing — which keeps it fast and dependency-free; the conventions it
@@ -146,6 +152,54 @@ fn names_outside_comments(text: &str, name: &str) -> bool {
             (pos == 0 || !is_ident(bytes[pos - 1])) && (end == bytes.len() || !is_ident(bytes[end]))
         })
     })
+}
+
+/// The lines of `text` outside `#[cfg(test)]` modules (whose extent is
+/// found by brace matching), with their 1-based line numbers.
+fn non_test_lines(text: &str) -> Vec<(usize, &str)> {
+    let mut out = Vec::new();
+    let mut lines = text.lines().enumerate().peekable();
+    while let Some((i, line)) = lines.next() {
+        let test_mod = line.trim() == "#[cfg(test)]"
+            && lines.peek().is_some_and(|(_, next)| next.trim_start().starts_with("mod "));
+        if !test_mod {
+            out.push((i + 1, line));
+            continue;
+        }
+        let (mut depth, mut opened) = (0usize, false);
+        for (_, body) in lines.by_ref() {
+            depth += body.matches('{').count();
+            depth = depth.saturating_sub(body.matches('}').count());
+            opened |= body.contains('{');
+            if opened && depth == 0 {
+                break;
+            }
+        }
+    }
+    out
+}
+
+/// The name of the function a line defines (`fn name`, `pub fn name` or
+/// `pub(crate) fn name`), if any.
+fn fn_defined_on(line: &str) -> Option<String> {
+    let t = line.trim_start();
+    let t = t.strip_prefix("pub(crate) ").or_else(|| t.strip_prefix("pub ")).unwrap_or(t);
+    let ident: String = t
+        .strip_prefix("fn ")?
+        .chars()
+        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+        .collect();
+    (!ident.is_empty()).then_some(ident)
+}
+
+/// Whether `line` calls `name`: the identifier followed by `(`, not part of
+/// a longer identifier and not its own definition.
+fn calls(line: &str, name: &str) -> bool {
+    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    fn_defined_on(line).as_deref() != Some(name)
+        && line.match_indices(&format!("{name}(")).any(|(pos, _)| {
+            pos == 0 || !is_ident(line.as_bytes()[pos - 1])
+        })
 }
 
 fn main() -> ExitCode {
@@ -297,6 +351,57 @@ fn main() -> ExitCode {
                     location: format!("{r} (fn `{name}`)"),
                     message: format!(
                         "`pub fn {name}` is named in no other file: delete it or make it private"
+                    ),
+                });
+            }
+        }
+    }
+
+    // RI008 — the tree route has one caller: `typecheck`, after a violating
+    // string walk. Each core line is paired with the function it sits in.
+    let mut core_lines: Vec<(String, usize, &str, Option<String>)> = Vec::new();
+    for (path, text) in &sources {
+        let r = rel(path);
+        if !r.starts_with("crates/core/src/") {
+            continue;
+        }
+        let mut enclosing = None;
+        for (n, line) in non_test_lines(text) {
+            if let Some(name) = fn_defined_on(line) {
+                enclosing = Some(name);
+            }
+            if !line.trim_start().starts_with("//") {
+                core_lines.push((r.clone(), n, line, enclosing.clone()));
+            }
+        }
+    }
+    let inclusions: Vec<_> = core_lines
+        .iter()
+        .filter(|(_, _, line, _)| line.contains("included_in_duta_with_budget"))
+        .collect();
+    if inclusions.len() != 1 {
+        let at: Vec<String> = inclusions.iter().map(|(r, n, _, _)| format!("{r}:{n}")).collect();
+        findings.push(Finding {
+            code: "RI008",
+            location: if at.is_empty() { "crates/core/src".to_string() } else { at.join(", ") },
+            message: format!(
+                "the tree route's inclusion `included_in_duta_with_budget` must appear on exactly \
+                 one line of crates/core/src, found {}",
+                inclusions.len()
+            ),
+        });
+    }
+    let routes: Vec<&String> = inclusions.iter().filter_map(|(_, _, _, f)| f.as_ref()).collect();
+    for (r, n, line, enclosing) in &core_lines {
+        for route in &routes {
+            if calls(line, route) && enclosing.as_deref() != Some("typecheck_with_budget") {
+                findings.push(Finding {
+                    code: "RI008",
+                    location: format!("{r}:{n}"),
+                    message: format!(
+                        "the tree route `{route}` is called from `{}`: only `typecheck_with_budget` \
+                         may run it, after a violating string walk",
+                        enclosing.as_deref().unwrap_or("no function")
                     ),
                 });
             }
