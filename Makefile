@@ -149,7 +149,8 @@ lint-schemas:
 # Lint the repo's structural conventions (telemetry metrics wired, bench
 # targets baseline-gated and documented, *_with_budget twins, forbid
 # unsafe, every pub fn named outside its file, the tree route called only
-# from typecheck): exits non-zero on any violation.
+# from typecheck, the tree route determinising only its target): exits
+# non-zero on any violation.
 lint-repo:
 	$(CARGO) run -q --release --example repo_invariants
 

@@ -775,9 +775,10 @@ impl BoxDesignProblem {
 
     /// Governed variant of [`BoxDesignProblem::typecheck`]: the cache
     /// builds (on a cold problem), the string walk and, on a violation, the
-    /// extension determinisation and the product walk all charge `budget`,
-    /// and a trip surfaces as [`DesignError::BudgetExceeded`] without
-    /// poisoning the problem's caches.
+    /// product of the extension automaton with the determinised target all
+    /// charge `budget`, and a trip surfaces as
+    /// [`DesignError::BudgetExceeded`] without poisoning the problem's
+    /// caches.
     pub fn typecheck_with_budget(
         &self,
         doc: &DistributedDoc,

@@ -564,8 +564,8 @@ impl DesignProblem {
 
     /// Governed variant of [`DesignProblem::typecheck`]: the target
     /// compilation (on a cold cache), every string inclusion of the walk
-    /// and, on a violation, the extension-side determinisation and the
-    /// product walk all charge `budget`; a trip surfaces as
+    /// and, on a violation, the product of the extension automaton with the
+    /// determinised target all charge `budget`; a trip surfaces as
     /// [`DesignError::BudgetExceeded`] and leaves every cache rebuildable.
     ///
     /// # Panics

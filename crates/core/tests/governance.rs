@@ -138,35 +138,35 @@ fn a_tripped_shared_target_build_leaves_both_clones_rebuildable() {
     ));
 }
 
-/// Sweeps the step quota of one synthesis upwards from 1, each time on a
-/// fresh (cold) problem from `make`, until a governed call succeeds. Every
-/// governed result must be a steps trip or the ungoverned schema, and after
-/// every trip the same problem, asked again without a budget (what the
-/// ungoverned `perfect_schema` runs), must still return that schema. So a
-/// trip at any point of the synthesis — the target build, the residuals or
-/// the candidate's check — leaves nothing half-built behind. Returns the
-/// first quota that sufficed.
-fn sweep_synthesis_budgets<P, S: std::fmt::Debug>(
+/// Sweeps the step quota of one governed call upwards from 1, each time on
+/// a fresh (cold) problem from `make`, until the call succeeds. Every
+/// governed result must be a steps trip or, by `Debug`, the ungoverned
+/// result, and after every trip the same problem, asked again without a
+/// budget (what the ungoverned twin runs), must still return that result.
+/// So a trip at any point of the call — the target build, the string walk,
+/// the residuals, the candidate's check or the tree route's product —
+/// leaves nothing half-built behind. Returns the first quota that sufficed.
+fn sweep_budgets<P, R: std::fmt::Debug>(
     make: impl Fn() -> P,
-    synthesise: impl Fn(&P, &Budget) -> Result<S, DesignError>,
+    call: impl Fn(&P, &Budget) -> Result<R, DesignError>,
 ) -> u64 {
     const MAX_STEPS: u64 = 100_000;
-    let expected = format!("{:?}", synthesise(&make(), &Budget::unlimited()).unwrap());
+    let expected = format!("{:?}", call(&make(), &Budget::unlimited()).unwrap());
     for k in 1..=MAX_STEPS {
         let problem = make();
-        match synthesise(&problem, &faults::budget_tripping_after(k)) {
-            Ok(schema) => {
-                assert_eq!(format!("{schema:?}"), expected, "governed result at k = {k}");
+        match call(&problem, &faults::budget_tripping_after(k)) {
+            Ok(result) => {
+                assert_eq!(format!("{result:?}"), expected, "governed result at k = {k}");
                 return k;
             }
             Err(DesignError::BudgetExceeded { resource: Resource::Steps, .. }) => {
-                let retried = synthesise(&problem, &Budget::unlimited()).unwrap();
+                let retried = call(&problem, &Budget::unlimited()).unwrap();
                 assert_eq!(format!("{retried:?}"), expected, "retry after a trip at k = {k}");
             }
-            Err(other) => panic!("expected a steps trip or the schema at k = {k}, got {other:?}"),
+            Err(other) => panic!("expected a steps trip or the result at k = {k}, got {other:?}"),
         }
     }
-    panic!("synthesis still trips with {MAX_STEPS} steps");
+    panic!("the call still trips with {MAX_STEPS} steps");
 }
 
 #[test]
@@ -183,14 +183,41 @@ fn perfect_schema_budget_sweep_trips_or_agrees_at_every_quota() {
                 .with_function("g", RDtd::parse(RFormalism::Nre, "r -> g\ng -> b?").unwrap())
         };
         let doc = DistributedDoc::parse(kernel, ["f", "g"]).unwrap();
-        let dtd_steps = sweep_synthesis_budgets(make, |p: &DesignProblem, budget| {
+        let dtd_steps = sweep_budgets(make, |p: &DesignProblem, budget| {
             p.perfect_schema_with_budget(&doc, "f", budget)
         });
-        let box_steps = sweep_synthesis_budgets(
+        let box_steps = sweep_budgets(
             || BoxDesignProblem::from(&make()),
             |p: &BoxDesignProblem, budget| p.perfect_schema_with_budget(&doc, "f", budget),
         );
         assert!(dtd_steps > 1 && box_steps > 1, "{kernel}: the sweep must trip at least once");
+    }
+}
+
+#[test]
+fn invalid_typecheck_budget_sweep_trips_or_agrees_at_every_quota() {
+    // Invalid designs, so every typecheck runs the string walk and then the
+    // tree route's product for its counterexample: an empty `f` forest
+    // under the blowup target, and a forest whose `b` breaks the target's
+    // content model one level down.
+    let nested = || {
+        DesignProblem::new(RDtd::parse(RFormalism::Nre, "s -> a, b*\nb -> c?").unwrap())
+            .with_function("f", RDtd::parse(RFormalism::Nre, "r -> b*\nb -> c, c").unwrap())
+    };
+    let designs: [(&dyn Fn() -> DesignProblem, DistributedDoc); 2] = [
+        (&|| blowup_problem(3), doc()),
+        (&nested, DistributedDoc::parse("s(a f)", ["f"]).unwrap()),
+    ];
+    for (make, doc) in &designs {
+        assert!(!make().typecheck(doc).unwrap().is_valid(), "the design must be invalid");
+        let dtd_steps = sweep_budgets(make, |p: &DesignProblem, budget| {
+            p.typecheck_with_budget(doc, budget)
+        });
+        let box_steps = sweep_budgets(
+            || BoxDesignProblem::from(&make()),
+            |p: &BoxDesignProblem, budget| p.typecheck_with_budget(doc, budget),
+        );
+        assert!(dtd_steps > 1 && box_steps > 1, "the sweep must trip at least once");
     }
 }
 

@@ -15,9 +15,10 @@
 //! * bottom-up determinisation ([`Duta`], the dUTAs of the paper) via the
 //!   reachable-subset construction, with per-label Moore machines over
 //!   subset states;
-//! * inclusion and equivalence of tree languages with counter-example trees
-//!   ([`included`], [`equivalent`]) — the oracles behind `equiv[S]` for
-//!   SDTDs and EDTDs (Theorem 4.7).
+//! * inclusion in a dUTA by one product with the undeterminised left side
+//!   ([`included_in_duta`]), and equivalence as two such inclusions
+//!   ([`included`], [`equivalent`]), with counter-example trees — the
+//!   oracles behind `equiv[S]` (Theorem 4.7) and typing counterexamples.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -713,76 +714,6 @@ impl fmt::Debug for Duta {
 // Inclusion / equivalence
 // ----------------------------------------------------------------------
 
-/// All pairs `(subset state of a, subset state of b)` jointly reachable by
-/// some tree over `a`'s label universe, each with a witness tree.
-///
-/// `b` may have been determinised over a *smaller* label universe than `a`
-/// (the point of caching a determinised target across inclusion checks): a
-/// label unknown to `b` sends the `b`-component to a virtual dead state,
-/// rendered as `None`, which propagates upward — exactly the semantics of
-/// [`Duta::run`] returning `None` on out-of-universe labels. Labels in
-/// `b`'s universe but outside `a`'s are not explored; trees using them are
-/// rejected by `a` and therefore irrelevant both as counterexamples and as
-/// subtrees of counterexamples.
-fn reachable_pairs(
-    a: &Duta,
-    b: &Duta,
-    budget: &Budget,
-) -> Result<Vec<(usize, Option<usize>, XTree)>, AutomataError> {
-    let labels = a.labels().clone();
-    let mut pairs: Vec<(usize, Option<usize>, XTree)> = Vec::new();
-    let mut pair_index: BTreeSet<(usize, Option<usize>)> = BTreeSet::new();
-    loop {
-        let snapshot_len = pairs.len();
-        for label in &labels {
-            let ma = match a.machine(label) {
-                Some(ma) => ma,
-                None => continue,
-            };
-            let mb = b.machine(label);
-            // BFS over configurations of the synchronous product, using the
-            // currently known pairs as letters. A `None` configuration on
-            // the `b` side is the dead state.
-            let start = (ma.start(), mb.map(LabelMachine::start));
-            let mut seen: BTreeMap<(usize, Option<usize>), Vec<usize>> = BTreeMap::new();
-            seen.insert(start, Vec::new());
-            let mut queue = VecDeque::from([start]);
-            while let Some((ca, cb)) = queue.pop_front() {
-                budget.step()?;
-                let path = seen[&(ca, cb)].clone();
-                let out = (
-                    ma.output[ca],
-                    match (cb, mb) {
-                        (Some(cb), Some(mb)) => Some(mb.output[cb]),
-                        _ => None,
-                    },
-                );
-                if pair_index.insert(out) {
-                    let children: Vec<XTree> =
-                        path.iter().map(|&p| pairs[p].2.clone()).collect();
-                    pairs.push((out.0, out.1, XTree::node(*label, children)));
-                }
-                for (letter, (pa, pb, _)) in pairs.iter().enumerate().take(snapshot_len) {
-                    let next_b = match (cb, pb, mb) {
-                        (Some(cb), Some(pb), Some(mb)) => Some(mb.step(cb, *pb)),
-                        _ => None,
-                    };
-                    let next = (ma.step(ca, *pa), next_b);
-                    if let std::collections::btree_map::Entry::Vacant(slot) = seen.entry(next) {
-                        let mut next_path = path.clone();
-                        next_path.push(letter);
-                        slot.insert(next_path);
-                        queue.push_back(next);
-                    }
-                }
-            }
-        }
-        if pairs.len() == snapshot_len {
-            return Ok(pairs);
-        }
-    }
-}
-
 /// Checks `[a] ⊆ [b]` as tree languages; on failure returns a tree accepted
 /// by `a` but not by `b`.
 pub fn included(a: &Nuta, b: &Nuta) -> Result<(), XTree> {
@@ -790,11 +721,8 @@ pub fn included(a: &Nuta, b: &Nuta) -> Result<(), XTree> {
 }
 
 /// Checks `[a] ⊆ [db]` against an already-determinised right-hand side; on
-/// failure returns a tree accepted by `a` but not by `db`.
-///
-/// This is the entry point for callers that check many left-hand sides
-/// against the same target (typing verification, perfect-schema synthesis):
-/// the expensive determinisation of the target happens once, outside.
+/// failure returns a tree accepted by `a` but not by `db`. Only the target
+/// is determinised, once, outside; the left side never is.
 ///
 /// # Panics
 ///
@@ -807,44 +735,95 @@ pub fn included_in_duta(a: &Nuta, db: &Duta) -> Result<(), XTree> {
 /// Governed variant of [`included_in_duta`]. The outer `Result` reports
 /// resource governance ([`AutomataError::BudgetExceeded`]); the inner one is
 /// the inclusion verdict with its counterexample tree.
+///
+/// One product of the nUTA `a` with the dUTA `db`: a fixpoint over the pairs
+/// (state of `a`, state of `db`) that some tree reaches, each kept with the
+/// first such tree. Each round runs, for every rule `(q, label)` of `a`, a
+/// BFS over (content state, `db` configuration for `label`) whose letters are
+/// the pairs known when the round started; a final content state yields the
+/// pair `(q, output)`. A label outside `db`'s universe sends the `db` side to
+/// a dead state (`None`), as in [`Duta::run`]. The walk charges one budget
+/// step per popped configuration and stops at the first pair with a final
+/// `q` and a dead or non-accepting `db` side.
 pub fn included_in_duta_with_budget(
     a: &Nuta,
     db: &Duta,
     budget: &Budget,
 ) -> Result<Result<(), XTree>, AutomataError> {
     budget.check_interrupts()?;
-    let da = a.determinize_with_budget(a.labels(), budget)?;
-    for (ia, ib, witness) in reachable_pairs(&da, db, budget)? {
-        if da.is_final(ia) && !ib.is_some_and(|i| db.is_final(i)) {
-            return Ok(Err(witness));
+    // Per rule: ε-free content, `db`'s machine (`None`: dead) and each content
+    // state's `(pair, next state)` moves, sorted so pairs go in discovery order.
+    let mut rules: Vec<_> = a
+        .rules()
+        .map(|(&q, &label, content)| {
+            let content = content.eps_free();
+            let moves: Vec<Vec<(usize, usize)>> = vec![Vec::new(); content.num_states()];
+            (q, label, content, db.machine(&label), moves)
+        })
+        .collect();
+    let mut pairs: Vec<(Symbol, Option<usize>, XTree)> = Vec::new();
+    let mut pair_index: FxHashSet<(Symbol, Option<usize>)> = FxHashSet::default();
+    let mut indexed = 0;
+    loop {
+        let known = pairs.len();
+        let mut new_letters: FxHashMap<Symbol, Vec<usize>> = FxHashMap::default();
+        for (letter, (p, _, _)) in pairs.iter().enumerate().skip(indexed) {
+            new_letters.entry(*p).or_default().push(letter);
         }
+        for (q, label, content, machine, moves) in &mut rules {
+            for (from, sym, to) in content.transitions() {
+                for &letter in sym.and_then(|p| new_letters.get(p)).map_or(&[][..], Vec::as_slice) {
+                    moves[from].push((letter, to));
+                }
+            }
+            moves.iter_mut().for_each(|m| m.sort_unstable());
+            // BFS arena of `((content state, db config), (parent, letter))`.
+            let start = (content.start(), machine.map(LabelMachine::start));
+            let mut nodes = vec![(start, None::<(usize, usize)>)];
+            let mut seen = FxHashSet::from_iter([start]);
+            let mut at = 0;
+            while let Some(&((s, cb), _)) = nodes.get(at) {
+                budget.step()?;
+                let out = (*q, cb.zip(*machine).map(|(c, m)| m.output(c)));
+                if content.is_final(s) && pair_index.insert(out) {
+                    let mut children = Vec::new();
+                    let mut node = at;
+                    while let Some((parent, letter)) = nodes[node].1 {
+                        children.push(pairs[letter].2.clone());
+                        node = parent;
+                    }
+                    children.reverse();
+                    let witness = XTree::node(*label, children);
+                    if a.finals().contains(q) && !out.1.is_some_and(|i| db.is_final(i)) {
+                        return Ok(Err(witness));
+                    }
+                    pairs.push((out.0, out.1, witness));
+                }
+                for &(letter, t) in &moves[s] {
+                    let next_b = match (cb, pairs[letter].1, *machine) {
+                        (Some(cb), Some(pb), Some(m)) => Some(m.step(cb, pb)),
+                        _ => None,
+                    };
+                    if seen.insert((t, next_b)) {
+                        nodes.push(((t, next_b), Some((at, letter))));
+                    }
+                }
+                at += 1;
+            }
+        }
+        if pairs.len() == known {
+            return Ok(Ok(()));
+        }
+        indexed = known;
     }
-    Ok(Ok(()))
 }
 
 /// Checks `[a] = [b]` as tree languages; on failure returns a distinguishing
 /// tree together with the side (`true` = accepted by `a` only).
-///
-/// # Panics
-///
-/// Never in practice: the unlimited budget cannot trip.
 pub fn equivalent(a: &Nuta, b: &Nuta) -> Result<(), (XTree, bool)> {
     let labels = a.labels().union(b.labels());
-    let da = a.determinize(&labels);
-    let db = b.determinize(&labels);
-    let pairs = reachable_pairs(&da, &db, &Budget::unlimited())
-        .expect("the unlimited budget never trips");
-    for (ia, ib, witness) in pairs {
-        // Both sides are determinised over the same universe, so the dead
-        // state never arises and `ib` is always `Some`.
-        let b_final = ib.is_some_and(|i| db.is_final(i));
-        match (da.is_final(ia), b_final) {
-            (true, false) => return Err((witness, true)),
-            (false, true) => return Err((witness, false)),
-            _ => {}
-        }
-    }
-    Ok(())
+    included_in_duta(a, &b.determinize(&labels)).map_err(|w| (w, true))?;
+    included_in_duta(b, &a.determinize(&labels)).map_err(|w| (w, false))
 }
 
 /// Whether the two automata accept the same tree language.

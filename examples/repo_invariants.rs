@@ -1,7 +1,7 @@
 //! Repo-invariant lint: structural conventions the workspace promises but
 //! the compiler cannot check, enforced as a CI gate.
 //!
-//! Seven invariant families, reported rustc-style and failing the process
+//! Eight invariant families, reported rustc-style and failing the process
 //! (for CI) when any finding survives:
 //!
 //! * `RI001`/`RI002` — every telemetry counter ([`Metric`]) and histogram
@@ -30,6 +30,11 @@
 //!   in a `typecheck_with_budget` body (judged by the nearest preceding
 //!   `fn` line): every question is decided on the string walk, and the tree
 //!   route only renders the counterexample of a violating one.
+//! * `RI009` — the tree route determinises only its target. The non-test
+//!   body of `uta::included_in_duta_with_budget` (found by brace matching)
+//!   names no `determinize` on a non-comment line, and no `reachable_pairs`
+//!   function is defined in `crates/tree/src`: inclusion in a dUTA is one
+//!   product with the undeterminised left side, not a subset-pair walk.
 //!
 //! The scan is purely textual over the workspace sources — `std` only, no
 //! parsing — which keeps it fast and dependency-free; the conventions it
@@ -190,6 +195,26 @@ fn fn_defined_on(line: &str) -> Option<String> {
         .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
         .collect();
     (!ident.is_empty()).then_some(ident)
+}
+
+/// The non-test lines of the body of `fn name` in `text` (definition line
+/// included, extent found by brace matching), with their 1-based numbers.
+fn fn_body<'t>(text: &'t str, name: &str) -> Vec<(usize, &'t str)> {
+    let mut body = Vec::new();
+    let (mut depth, mut opened) = (0usize, false);
+    for (n, line) in non_test_lines(text) {
+        if body.is_empty() && fn_defined_on(line).as_deref() != Some(name) {
+            continue;
+        }
+        body.push((n, line));
+        depth += line.matches('{').count();
+        depth = depth.saturating_sub(line.matches('}').count());
+        opened |= line.contains('{');
+        if opened && depth == 0 {
+            break;
+        }
+    }
+    body
 }
 
 /// Whether `line` calls `name`: the identifier followed by `(`, not part of
@@ -403,6 +428,48 @@ fn main() -> ExitCode {
                          may run it, after a violating string walk",
                         enclosing.as_deref().unwrap_or("no function")
                     ),
+                });
+            }
+        }
+    }
+
+    // RI009 — the tree route determinises only its target: the inclusion
+    // runs one product over the undeterminised left side.
+    for (path, text) in &sources {
+        let r = rel(path);
+        if !r.starts_with("crates/tree/src/") {
+            continue;
+        }
+        if r == "crates/tree/src/uta.rs" {
+            let body = fn_body(text, "included_in_duta_with_budget");
+            if body.is_empty() {
+                findings.push(Finding {
+                    code: "RI009",
+                    location: r.clone(),
+                    message: "`included_in_duta_with_budget` not found — the body scan is broken"
+                        .to_string(),
+                });
+            }
+            for (n, line) in body {
+                if !line.trim_start().starts_with("//") && line.contains("determinize") {
+                    findings.push(Finding {
+                        code: "RI009",
+                        location: format!("{r}:{n}"),
+                        message: "`included_in_duta_with_budget` determinises a side: only the \
+                                  target is determinised, once, by the caller"
+                            .to_string(),
+                    });
+                }
+            }
+        }
+        for (n, line) in non_test_lines(text) {
+            if fn_defined_on(line).as_deref() == Some("reachable_pairs") {
+                findings.push(Finding {
+                    code: "RI009",
+                    location: format!("{r}:{n}"),
+                    message: "`reachable_pairs` walks pairs of subset states; inclusion in a dUTA \
+                              is one product with the undeterminised left side"
+                        .to_string(),
                 });
             }
         }
