@@ -4,11 +4,12 @@
 //! (keep only specialised names that are productive and reachable through
 //! realizable content words), build the **candidate** schema of the lemma —
 //! the least DTD (Lemma 3.12) or single-type SDTD (Lemma 3.5) whose language
-//! contains the target — and decide language equivalence of the candidate
-//! against the original with the tree-automata machinery. Because the
-//! candidate is the closure of the target language under the respective
-//! guided subtree-exchange property, the language is definable in the lower
-//! class **iff** the candidate is equivalent to it:
+//! contains the target — and decide whether the candidate is included in
+//! the original with the tree-automata machinery (the converse inclusion
+//! holds by construction). Because the candidate is the closure of the
+//! target language under the respective guided subtree-exchange property,
+//! the language is definable in the lower class **iff** the candidate is
+//! equivalent to it:
 //!
 //! * [`dtd_candidate`] merges, per element name `a`, the content models of
 //!   every reduced specialisation `ã` with `µ(ã) = a` and erases `µ` — the
@@ -109,10 +110,11 @@ pub fn dtd_candidate(e: &REdtd) -> RDtd {
 /// Decides DTD-definability (Lemma 3.12): returns an [`RDtd`] with the same
 /// language as `e` iff one exists. The witness is [`dtd_candidate`] — the
 /// closure of the language under label-guided subtree exchange — so the
-/// language is definable exactly when the candidate did not grow.
+/// language is definable exactly when the candidate did not grow: one
+/// inclusion of the candidate in `e`, since the converse always holds.
 pub fn dtd_definable(e: &REdtd) -> Option<RDtd> {
     let candidate = dtd_candidate(e);
-    uta::is_equivalent(&candidate.to_nuta(), &e.to_nuta()).then_some(candidate)
+    uta::included(&candidate.to_nuta(), &e.to_nuta()).is_ok().then_some(candidate)
 }
 
 /// The candidate SDTD of Lemma 3.5: specialised names are the pairs
@@ -181,10 +183,11 @@ pub fn sdtd_candidate(e: &REdtd) -> RSdtd {
 /// Decides SDTD-definability (Lemma 3.5): returns an [`RSdtd`] with the
 /// same language as `e` iff one exists. The witness is [`sdtd_candidate`]
 /// — the closure of the language under ancestor-guided subtree exchange —
-/// so the language is definable exactly when the candidate did not grow.
+/// so the language is definable exactly when the candidate did not grow:
+/// one inclusion of the candidate in `e`, since the converse always holds.
 pub fn sdtd_definable(e: &REdtd) -> Option<RSdtd> {
     let candidate = sdtd_candidate(e);
-    uta::is_equivalent(&candidate.to_nuta(), &e.to_nuta()).then_some(candidate)
+    uta::included(&candidate.to_nuta(), &e.to_nuta()).is_ok().then_some(candidate)
 }
 
 #[cfg(test)]

@@ -819,7 +819,8 @@ pub fn included_in_duta_with_budget(
 }
 
 /// Checks `[a] = [b]` as tree languages; on failure returns a distinguishing
-/// tree together with the side (`true` = accepted by `a` only).
+/// tree together with the side (`true` = accepted by `a` only). `a ⊆ b` runs
+/// first, so languages that differ both ways report its counterexample.
 pub fn equivalent(a: &Nuta, b: &Nuta) -> Result<(), (XTree, bool)> {
     let labels = a.labels().union(b.labels());
     included_in_duta(a, &b.determinize(&labels)).map_err(|w| (w, true))?;

@@ -32,9 +32,9 @@
 //!   route only renders the counterexample of a violating one.
 //! * `RI009` — the tree route determinises only its target. The non-test
 //!   body of `uta::included_in_duta_with_budget` (found by brace matching)
-//!   names no `determinize` on a non-comment line, and no `reachable_pairs`
-//!   function is defined in `crates/tree/src`: inclusion in a dUTA is one
-//!   product with the undeterminised left side, not a subset-pair walk.
+//!   names no `determinize` on a non-comment line: inclusion in a dUTA is
+//!   one product with the undeterminised left side, not a walk over pairs
+//!   of subset states.
 //!
 //! The scan is purely textual over the workspace sources — `std` only, no
 //! parsing — which keeps it fast and dependency-free; the conventions it
@@ -171,17 +171,26 @@ fn non_test_lines(text: &str) -> Vec<(usize, &str)> {
             out.push((i + 1, line));
             continue;
         }
-        let (mut depth, mut opened) = (0usize, false);
-        for (_, body) in lines.by_ref() {
-            depth += body.matches('{').count();
-            depth = depth.saturating_sub(body.matches('}').count());
-            opened |= body.contains('{');
-            if opened && depth == 0 {
-                break;
-            }
-        }
+        take_block(lines.by_ref());
     }
     out
+}
+
+/// Takes lines from `lines` up to and including the one that closes the
+/// first brace-delimited block (found by brace matching), and returns them.
+fn take_block<'t>(lines: impl Iterator<Item = (usize, &'t str)>) -> Vec<(usize, &'t str)> {
+    let mut block = Vec::new();
+    let (mut depth, mut opened) = (0usize, false);
+    for (n, line) in lines {
+        block.push((n, line));
+        depth += line.matches('{').count();
+        depth = depth.saturating_sub(line.matches('}').count());
+        opened |= line.contains('{');
+        if opened && depth == 0 {
+            break;
+        }
+    }
+    block
 }
 
 /// The name of the function a line defines (`fn name`, `pub fn name` or
@@ -200,21 +209,11 @@ fn fn_defined_on(line: &str) -> Option<String> {
 /// The non-test lines of the body of `fn name` in `text` (definition line
 /// included, extent found by brace matching), with their 1-based numbers.
 fn fn_body<'t>(text: &'t str, name: &str) -> Vec<(usize, &'t str)> {
-    let mut body = Vec::new();
-    let (mut depth, mut opened) = (0usize, false);
-    for (n, line) in non_test_lines(text) {
-        if body.is_empty() && fn_defined_on(line).as_deref() != Some(name) {
-            continue;
-        }
-        body.push((n, line));
-        depth += line.matches('{').count();
-        depth = depth.saturating_sub(line.matches('}').count());
-        opened |= line.contains('{');
-        if opened && depth == 0 {
-            break;
-        }
-    }
-    body
+    take_block(
+        non_test_lines(text)
+            .into_iter()
+            .skip_while(|(_, line)| fn_defined_on(line).as_deref() != Some(name)),
+    )
 }
 
 /// Whether `line` calls `name`: the identifier followed by `(`, not part of
@@ -435,43 +434,26 @@ fn main() -> ExitCode {
 
     // RI009 — the tree route determinises only its target: the inclusion
     // runs one product over the undeterminised left side.
-    for (path, text) in &sources {
-        let r = rel(path);
-        if !r.starts_with("crates/tree/src/") {
-            continue;
-        }
-        if r == "crates/tree/src/uta.rs" {
-            let body = fn_body(text, "included_in_duta_with_budget");
-            if body.is_empty() {
-                findings.push(Finding {
-                    code: "RI009",
-                    location: r.clone(),
-                    message: "`included_in_duta_with_budget` not found — the body scan is broken"
-                        .to_string(),
-                });
-            }
-            for (n, line) in body {
-                if !line.trim_start().starts_with("//") && line.contains("determinize") {
-                    findings.push(Finding {
-                        code: "RI009",
-                        location: format!("{r}:{n}"),
-                        message: "`included_in_duta_with_budget` determinises a side: only the \
-                                  target is determinised, once, by the caller"
-                            .to_string(),
-                    });
-                }
-            }
-        }
-        for (n, line) in non_test_lines(text) {
-            if fn_defined_on(line).as_deref() == Some("reachable_pairs") {
-                findings.push(Finding {
-                    code: "RI009",
-                    location: format!("{r}:{n}"),
-                    message: "`reachable_pairs` walks pairs of subset states; inclusion in a dUTA \
-                              is one product with the undeterminised left side"
-                        .to_string(),
-                });
-            }
+    let uta = sources.iter().find(|(path, _)| rel(path) == "crates/tree/src/uta.rs");
+    let body =
+        uta.map(|(_, text)| fn_body(text, "included_in_duta_with_budget")).unwrap_or_default();
+    if body.is_empty() {
+        findings.push(Finding {
+            code: "RI009",
+            location: "crates/tree/src/uta.rs".to_string(),
+            message: "`included_in_duta_with_budget` not found — the body scan is broken"
+                .to_string(),
+        });
+    }
+    for (n, line) in body {
+        if !line.trim_start().starts_with("//") && line.contains("determinize") {
+            findings.push(Finding {
+                code: "RI009",
+                location: format!("crates/tree/src/uta.rs:{n}"),
+                message: "`included_in_duta_with_budget` determinises a side: only the target is \
+                          determinised, once, by the caller"
+                    .to_string(),
+            });
         }
     }
 
